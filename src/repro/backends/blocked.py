@@ -34,15 +34,6 @@ from typing import Optional
 import numpy as np
 
 from repro.backends.numpy_backend import NumpyBackend
-from repro.backends.programs import (
-    DENSE,
-    EMPTY,
-    SPARSE,
-    FusedDenseProgram,
-    _BurstThresholdOps,
-    _env_sparse_mode,
-    _threshold_ops_for,
-)
 from repro.backends.registry import register_backend
 
 
@@ -61,9 +52,8 @@ class BlockedNumpyBackend(NumpyBackend):
 
     name = "numpy-blocked"
     description = (
-        "numpy kernels with the fused dense step chain (GEMM + IF update) "
-        "tiled over batch shards (threaded on multi-core); runs whole-network "
-        "step blocks per backend call"
+        "numpy kernels with the propagation GEMM tiled over batch shards "
+        "(threaded on multi-core)"
     )
 
     def __init__(
@@ -107,170 +97,6 @@ class BlockedNumpyBackend(NumpyBackend):
             for lo, hi in bounds:
                 np.matmul(a[lo:hi], b, out=out[lo:hi])
         return out
-
-    def compile_step_program(self, layer):
-        """Fused programs with the dense-layer chain tiled per row shard.
-
-        Dense layers over the shard threshold get
-        :class:`_BlockedFusedDenseProgram` (the *whole* GEMM → bias → IF →
-        threshold chain runs shard by shard, keeping each shard's
-        intermediates cache-resident); everything else takes the reference
-        fused programs, whose captured ``matmul`` bound method is this
-        backend's tiled GEMM — so the conv canonical path keeps its tiling.
-        """
-        from repro.snn.layers import SpikingDense
-
-        if type(layer) is SpikingDense and (layer.batch_size or 0) >= 2 * self.min_rows:
-            try:
-                env_mode = _env_sparse_mode()
-            except ValueError:
-                return None  # composed path surfaces the dispatcher's error
-            if layer.state is not None and layer.dispatcher is not None:
-                threshold_ops = _threshold_ops_for(layer, self)
-                if threshold_ops is not None:
-                    return _BlockedFusedDenseProgram(layer, self, threshold_ops, env_mode)
-        # explicit base call (not zero-arg super): the instrumented proxy
-        # invokes this method unbound with itself as ``self``
-        return NumpyBackend.compile_step_program(self, layer)
-
-
-class _BlockedFusedDenseProgram(FusedDenseProgram):
-    """Fused dense step with the dense-path chain tiled over row shards.
-
-    Tiling only the GEMM (what the ``matmul`` override does) still streams
-    the full ``z`` / membrane / amplitude buffers through cache three more
-    times for the elementwise chain; running the whole fused chain per shard
-    touches each shard's intermediates while they are hot.  Every row's
-    arithmetic is the exact reference sequence on a row slice, so results
-    match the unblocked fused program to the backend's parity contract.
-    Non-dense decisions (sparse gather, empty shortcut, cache replay) defer
-    to the unblocked program.
-    """
-
-    def __init__(self, layer, backend, threshold_ops, env_mode) -> None:
-        super().__init__(layer, backend, threshold_ops, env_mode)
-        self._min_rows = backend.min_rows
-        self._threads = backend.threads
-        self._blocked = backend
-
-    def run(self, incoming, t, incoming_nonzero=None):
-        layer = self.layer
-        incoming = np.asarray(incoming)
-        if layer._z_cache is not None:
-            return super().run(incoming, t, incoming_nonzero)
-        if incoming.ndim != 2 or incoming.shape[1] != self._in_features:
-            raise ValueError(
-                f"{layer.name}: expected incoming shape (N, {self._in_features}), "
-                f"got {incoming.shape}"
-            )
-        rows = incoming.shape[0]
-        dispatcher = layer.dispatcher
-        forced = self._forced_mode()
-        decision = None
-        active = None
-        if incoming_nonzero is not None and forced is None:
-            if incoming_nonzero == 0:
-                decision = dispatcher.choose_resolved(None, 0.0)
-            else:
-                fraction = incoming_nonzero / incoming.size
-                if dispatcher.exact_only or fraction >= dispatcher.crossover:
-                    decision = dispatcher.choose_resolved(None, fraction)
-        if decision is None:
-            active = self._active_features(incoming)
-            decision = dispatcher.choose_resolved(
-                forced, active.size / self._in_features
-            )
-        if decision == DENSE and rows >= 2 * self._min_rows:
-            return self._run_tiled(incoming, t)
-        if decision == SPARSE:
-            return self._neuron_step(self._sparse(incoming, active), t)
-        if decision == EMPTY:
-            return self._neuron_step(self._z_empty, t)
-        return self._neuron_step(self._dense(incoming), t)
-
-    def _run_tiled(self, incoming: np.ndarray, t: int) -> np.ndarray:
-        layer = self.layer
-        threshold_ops = self._threshold_ops
-        rows = incoming.shape[0]
-        shards = min(max(rows // self._min_rows, 1), max(self._threads, 2))
-        per_shard = -(-rows // shards)
-        bounds = [
-            (start, min(start + per_shard, rows))
-            for start in range(0, rows, per_shard)
-        ]
-        burst = type(threshold_ops) is _BurstThresholdOps
-        threshold = None
-        th = compute_th = use_ceiling = None
-        if burst:
-            th = threshold_ops._threshold
-            compute_th = not th._th_valid
-            use_ceiling = th._updates >= th._clamp_after
-        else:
-            threshold = threshold_ops.thresholds(t)  # 0-d: shared by shards
-
-        def _shard(lo: int, hi: int) -> int:
-            x = incoming[lo:hi]
-            z = self._z[lo:hi]
-            np.matmul(x, self._w, out=z)
-            if self._bias is not None:
-                z += self._bias
-            if burst:
-                if compute_th:
-                    np.multiply(
-                        th._g[lo:hi], threshold_ops._v_th, out=th._th_buf[lo:hi]
-                    )
-                thr = th._th_buf[lo:hi]
-            else:
-                thr = threshold
-            v = self._v_mem[lo:hi]
-            spk = self._spikes[lo:hi]
-            sig = self._signals[lo:hi]
-            amp = self._amplitudes[lo:hi]
-            v += z
-            np.greater_equal(v, thr, out=spk)
-            np.greater_equal(v, thr, out=sig)
-            np.multiply(thr, sig, out=amp)
-            if self._subtract_reset:
-                v -= amp
-            else:
-                np.copyto(v, self._v_rest_typed, where=spk)
-            if not self._allow_negative:
-                np.maximum(v, self._v_rest, out=v)
-            count = int(np.count_nonzero(spk))
-            if burst:
-                g = th._g[lo:hi]
-                grown = th._grown[lo:hi]
-                np.multiply(g, threshold_ops._beta, out=grown)
-                if use_ceiling:
-                    np.minimum(grown, th._ceiling, out=grown)
-                if threshold_ops._max_burst is not None:
-                    self._blocked.burst_cap(
-                        grown, g, spk, th._consecutive[lo:hi],
-                        th._cons_scratch[lo:hi], th._capped[lo:hi],
-                        threshold_ops._max_burst,
-                    )
-                np.multiply(grown, sig, out=grown)
-                np.subtract(1.0, sig, out=th._silent_signal[lo:hi])
-                np.add(grown, th._silent_signal[lo:hi], out=g)
-            return count
-
-        if self._threads > 1 and len(bounds) > 1:
-            futures = [
-                self._blocked._executor().submit(_shard, lo, hi) for lo, hi in bounds
-            ]
-            total = sum(future.result() for future in futures)
-        else:
-            total = sum(_shard(lo, hi) for lo, hi in bounds)
-        if burst:
-            th._updates += 1
-            th._th_valid = False
-            th._g_uniform = total == 0
-        state = self._state
-        state.last_spike_count = total
-        state.total_spikes += total
-        layer.last_spikes = self._spikes
-        layer.output_nonzero = total
-        return self._amplitudes
 
 
 @register_backend(

@@ -2,20 +2,13 @@
 
 ``InstrumentedBackend`` wraps any :class:`~repro.backends.base.KernelBackend`
 and records, per primitive name, how many times it was called and how long
-the calls took.  It exists for two consumers:
-
-* the backend-call-count tests (``tests/test_backends.py``), which assert
-  the fused step programs actually collapsed the per-layer seam traffic, and
-* ``benchmarks/perf/profile_step.py``, which reports the per-kernel seam tax
-  of one simulation step.
+the calls took.  Layers reset on it route every primitive of their ``step``
+through the counting wrappers, which is what the per-layer seam-contract
+tests (``tests/test_backends.py``) and the traced benchmark run
+(``perfbench/run.py --trace 1``) read.
 
 The wrapper reports the inner backend's ``name`` so calibration caches keyed
-by backend stay warm, and it forwards ``compile_step_program`` with *itself*
-as the backend — compiled programs therefore capture the counting wrappers
-for the primitives they keep calling through the seam (GEMMs, gathers,
-scans), while their inlined elementwise chains correctly count as zero
-crossings.  Each compiled program is additionally wrapped so program
-invocations themselves show up under ``program:<layer name>``.
+by backend stay warm.
 """
 
 from __future__ import annotations
@@ -24,7 +17,6 @@ import time
 from typing import Dict, Optional
 
 from repro.backends.base import KernelBackend
-from repro.backends.programs import StepProgram
 
 __all__ = ["KernelCallRecorder", "InstrumentedBackend", "PRIMITIVE_NAMES"]
 
@@ -79,57 +71,6 @@ class KernelCallRecorder:
         }
 
 
-class _InstrumentedProgram(StepProgram):
-    """Counts each compiled-program invocation as ``program:<layer>``."""
-
-    def __init__(self, inner: StepProgram, recorder: KernelCallRecorder) -> None:
-        super().__init__(inner.layer)
-        self.fused = inner.fused
-        self._inner = inner
-        self._recorder = recorder
-        self._key = f"program:{inner.layer.name}"
-
-    def run(self, incoming, t, incoming_nonzero=None):
-        start = time.perf_counter()
-        try:
-            return self._inner.run(incoming, t, incoming_nonzero)
-        finally:
-            self._recorder.record(self._key, time.perf_counter() - start)
-
-    @property
-    def seam_inner(self):
-        """The wrapped program — a network program composes these directly,
-        since inside a block the layer boundary is no longer an engine seam
-        (the block call itself is counted instead)."""
-        return self._inner
-
-    def describe(self) -> str:
-        return self._inner.describe()
-
-
-class _InstrumentedNetworkProgram:
-    """Counts each whole-network block invocation as ``network_program``."""
-
-    fused = True
-
-    def __init__(self, inner, recorder: KernelCallRecorder) -> None:
-        self._inner = inner
-        self._recorder = recorder
-
-    def run_block(self, t0, n, **kwargs):
-        start = time.perf_counter()
-        try:
-            return self._inner.run_block(t0, n, **kwargs)
-        finally:
-            self._recorder.record("network_program", time.perf_counter() - start)
-
-    def describe(self) -> str:
-        return self._inner.describe()
-
-    def __getattr__(self, attribute):
-        return getattr(self._inner, attribute)
-
-
 class InstrumentedBackend(KernelBackend):
     """Counting/timing proxy around a real backend (tests and profiling)."""
 
@@ -165,25 +106,6 @@ class InstrumentedBackend(KernelBackend):
 
     def availability_error(self):
         return self._inner.availability_error()
-
-    def compile_step_program(self, layer):
-        # dispatch on the *inner* backend's class but pass ourselves as the
-        # backend, so fused programs capture the counting wrappers for every
-        # primitive they still route through the seam
-        program = type(self._inner).compile_step_program(self, layer)
-        if program is None:
-            return None
-        return _InstrumentedProgram(program, self.recorder)
-
-    def compile_network_program(self, prepared):
-        # same unbound dispatch as compile_step_program: the inner backend's
-        # network compiler composes per-layer programs that already capture
-        # this proxy's counting primitives; the block driver itself is then
-        # wrapped so seam traffic is counted at block granularity
-        program = type(self._inner).compile_network_program(self, prepared)
-        if program is None:
-            return None
-        return _InstrumentedNetworkProgram(program, self.recorder)
 
     def __getattr__(self, attribute):
         # anything not wrapped above (tuning knobs like min_rows/threads,

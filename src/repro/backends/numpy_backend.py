@@ -27,25 +27,7 @@ class NumpyBackend(KernelBackend):
     """Reference kernels on plain numpy (the project's golden implementation)."""
 
     name = "numpy"
-    description = (
-        "reference numpy kernels with fused step programs and whole-network "
-        "block execution (float64 bit-identical to the seed engine)"
-    )
-
-    # -- fused step programs -----------------------------------------------
-    def compile_step_program(self, layer):
-        from repro.backends.programs import compile_numpy_program
-
-        return compile_numpy_program(layer, self)
-
-    def compile_network_program(self, prepared):
-        """Whole-network block execution: compose the layers' compiled step
-        programs (plus encoder replay and spike recording) into one
-        ``run_block`` program.  Inherited by the blocked and torch backends,
-        whose per-layer programs slot straight into the generic driver."""
-        from repro.backends.programs import compile_network_step_program
-
-        return compile_network_step_program(prepared)
+    description = "reference numpy kernels (float64 bit-identical to the seed engine)"
 
     # -- buffer allocation -------------------------------------------------
     def empty(self, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:

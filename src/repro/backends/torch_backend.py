@@ -32,30 +32,12 @@ class TorchBackend(NumpyBackend):
     """PyTorch CPU kernels over the engine's numpy buffers (zero-copy)."""
 
     name = "torch"
-    description = (
-        "PyTorch kernels with fused on-device step programs "
-        "(F.conv2d convolutions, fused IF/threshold + burst updates) "
-        "driven in whole-network step blocks; requires torch"
-    )
+    description = "PyTorch GEMM, gather and IF-update kernels; requires torch"
 
     def __init__(self) -> None:
         import torch
 
         self._torch = torch
-
-    def compile_step_program(self, layer):
-        """Fused torch programs for the neuron layers (the full synaptic +
-        IF + threshold chain on tensor views, convolutions via
-        ``torch.nn.functional.conv2d``); other layers fall back to the numpy
-        fused programs over this backend's overridden primitives."""
-        from repro.backends.torch_programs import compile_torch_program
-
-        program = compile_torch_program(layer, self)
-        if program is not None:
-            return program
-        # explicit base call (not zero-arg super): the instrumented proxy
-        # invokes this method unbound with itself as ``self``
-        return NumpyBackend.compile_step_program(self, layer)
 
     def matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         torch = self._torch

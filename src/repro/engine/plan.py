@@ -1,7 +1,7 @@
 """Plan stage: per-network preparation shared by every simulation run.
 
-Everything that must happen *before* the first time step — and that PR 1/2
-made cacheable — lives here, pulled out of ``SpikingNetwork.run``:
+Everything that must happen *before* the first time step lives here,
+pulled out of ``SpikingNetwork.run``:
 
 * the simulation **dtype** is resolved once through the project policy
   (float32 default, float64 opt-in bit-identical to the seed engine),
@@ -28,11 +28,11 @@ and serves every subsequent batch through it, amortising the expensive parts
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.backends import KernelBackend, network_programs_enabled, resolve_backend
+from repro.backends import KernelBackend, resolve_backend
 from repro.snn.network import SimulationConfig, SpikingNetwork
 from repro.snn.recording import LayerRecord, SpikeRecord
 from repro.utils.dtypes import resolve_dtype
@@ -51,22 +51,6 @@ def recorded_step_schedule(config: SimulationConfig) -> List[int]:
     ]
 
 
-def block_schedule(config: SimulationConfig) -> List[Tuple[int, int]]:
-    """The ``(t0, n)`` blocks of consecutive steps a network program executes
-    per seam crossing.
-
-    With ``early_exit_patience`` set, every step is its own block — the run
-    stage must observe the output logits between steps to keep the freeze
-    semantics bit-for-bit unchanged.  With early exit off nothing interrupts
-    the step loop: the network program fills the recorded snapshots itself
-    (it knows :func:`recorded_step_schedule`), so the whole horizon is a
-    single block and a snapshot step no longer forces a seam crossing.
-    """
-    if config.early_exit_patience is not None:
-        return [(t, 1) for t in range(config.time_steps)]
-    return [(0, config.time_steps)]
-
-
 @dataclass
 class PreparedBatch:
     """One input batch, bound to a plan and ready for the run stage.
@@ -81,30 +65,6 @@ class PreparedBatch:
     record: SpikeRecord
     input_record: LayerRecord
     layer_records: List[LayerRecord]
-    #: the resolved backend the layers were reset on
-    backend: Optional[KernelBackend] = None
-    #: whole-network block program (``None`` → per-step driving); compiled by
-    #: :meth:`SimulationPlan.prepare`, refreshed by :meth:`recompile_network_program`
-    network_program: Optional[object] = None
-
-    def recompile_network_program(self) -> None:
-        """Re-ask the backend for the network program (mid-run shrink).
-
-        ``shrink_batch`` reallocates the per-batch buffers both the layer
-        programs and the network program capture; the run stage refreshes
-        the layer programs and then calls this.
-        """
-        if self.network_program is None or self.backend is None:
-            return
-        program = self.backend.compile_network_program(self)
-        if program is None:
-            # a backend that declines mid-run still gets block semantics:
-            # the generic driver composes whatever per-layer programs the
-            # layers resolve, so an in-flight block run never loses its path
-            from repro.backends import compile_network_step_program
-
-            program = compile_network_step_program(self)
-        self.network_program = program
 
 
 @dataclass
@@ -156,25 +116,13 @@ class SimulationPlan:
         first = network.layers[0]
         if hasattr(first, "enable_input_caching"):
             first.enable_input_caching(getattr(network.encoder, "steady_period", None))
-        # compile each layer's fused step program (or its composed fallback)
-        # now, so resolution cost never lands inside the timed step loop
-        for layer in network.layers:
-            layer.ensure_step_program()
-
-        prepared = PreparedBatch(
+        return PreparedBatch(
             plan=self,
             batch_size=batch_size,
             record=record,
             input_record=input_record,
             layer_records=layer_records,
-            backend=backend,
         )
-        # whole-network block program: one seam crossing per block of steps
-        # instead of one per layer per step (None → per-step driving, the
-        # compatibility default for primitives-only backends)
-        if network_programs_enabled():
-            prepared.network_program = backend.compile_network_program(prepared)
-        return prepared
 
 
 def plan_simulation(

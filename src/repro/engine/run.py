@@ -6,7 +6,7 @@ the converged-image early exit — plus the process-level fan-out used for
 sharded evaluation.  The build and plan stages
 (:mod:`repro.engine.build` / :mod:`repro.engine.plan`) feed it;
 ``SpikingNetwork.run`` and the pipeline delegate here, so there is exactly
-one step loop in the code base.
+one step loop in the code base, and it calls each layer's own ``step``.
 
 In float64 the loop is bit-identical to the original seed engine (golden
 reference ``benchmarks/perf/seed_reference.json``); the float32 default runs
@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from repro.engine.plan import PreparedBatch, block_schedule, plan_simulation
+from repro.engine.plan import PreparedBatch, plan_simulation
 from repro.snn.network import SimulationConfig, SimulationResult, SpikingNetwork
 from repro.utils.logging import get_logger
 
@@ -34,15 +34,7 @@ def execute(prepared: PreparedBatch, labels: Optional[np.ndarray] = None) -> Sim
 
     ``prepared`` is consumed: the encoder/layer state it bound is advanced by
     the loop, so prepare a fresh batch (``plan.prepare``) for the next run.
-
-    When the plan compiled a whole-network block program
-    (:meth:`~repro.backends.base.KernelBackend.compile_network_program`),
-    the loop is driven at block granularity by :func:`_execute_blocks` —
-    bit-identical to the per-step loop below, which remains the reference
-    (and the only) path for primitives-only backends.
     """
-    if prepared.network_program is not None:
-        return _execute_blocks(prepared, labels)
     plan = prepared.plan
     network = plan.network
     config = plan.config
@@ -88,31 +80,24 @@ def execute(prepared: PreparedBatch, labels: Optional[np.ndarray] = None) -> Sim
     # an encoder whose values are nonzero exactly where it spiked lets the
     # first layer (and the pools downstream) skip activity re-scans
     encoder_tracks_spikes = getattr(encoder, "values_nonzero_tracks_spikes", False)
-    # resolve each layer's compiled step program outside the timed loop (one
-    # program call per layer per step; refreshed after any mid-run shrink)
-    programs = [layer.ensure_step_program() for layer in layers]
+    record_trains = config.record_trains
     for t in range(config.time_steps):
         encoded = encoder.step(t)
         batch_indices = active if patience is not None else None
         input_spikes = encoded.spike_count
-        input_record.record_step(
-            encoded.spikes,
-            config.record_trains,
-            batch_indices=batch_indices,
-            count=input_spikes,
-        )
+        input_record.record_step(encoded.spikes, record_trains, batch_indices, input_spikes)
         values = encoded.values
         nonzero_hint = input_spikes if encoder_tracks_spikes else None
-        for layer, program, layer_record in zip(layers, programs, layer_records):
+        for layer, layer_record in zip(layers, layer_records):
             layer.output_nonzero = None
-            values = program.run(values, t, nonzero_hint)
+            values = layer.step(values, t, nonzero_hint)
             nonzero_hint = layer.output_nonzero
-            layer_record.record_step(
-                layer.last_spikes if layer.is_spiking else None,
-                config.record_trains,
-                batch_indices=batch_indices,
-                count=layer.output_nonzero if layer.is_spiking else None,
-            )
+            if layer.is_spiking:
+                layer_record.record_step(
+                    layer.last_spikes, record_trains, batch_indices, nonzero_hint
+                )
+            else:
+                layer_record.record_step(None, record_trains, batch_indices)
         record.advance()
         if patience is None:
             if snapshot < len(recorded_steps) and t + 1 == recorded_steps[snapshot]:
@@ -159,117 +144,7 @@ def execute(prepared: PreparedBatch, labels: Optional[np.ndarray] = None) -> Sim
             encoder.shrink_batch(keep)
             for layer in layers:
                 layer.shrink_batch(keep)
-            # shrinking reallocates the per-batch buffers compiled programs
-            # capture — recompile before the next step touches stale views
-            programs = [layer.ensure_step_program() for layer in layers]
             active = active[keep]
-
-    return SimulationResult(
-        output_history=output_history,
-        recorded_steps=np.asarray(recorded_steps, dtype=np.int64),
-        record=record,
-        time_steps=config.time_steps,
-        batch_size=batch_size,
-        num_neurons=network.num_neurons(),
-        labels=None if labels is None else np.asarray(labels),
-        frozen_at=frozen_at,
-    )
-
-
-def _execute_blocks(
-    prepared: PreparedBatch, labels: Optional[np.ndarray] = None
-) -> SimulationResult:
-    """Block-granular drive of a compiled whole-network step program.
-
-    The program runs the encoder, every layer program, spike recording and
-    (early exit off) the output snapshots for a whole block of consecutive
-    steps per call — :func:`repro.engine.plan.block_schedule` derives the
-    blocks from the plan.  With early exit on every block is a single step,
-    so this loop observes the logits and applies exactly the freeze
-    bookkeeping of the per-step path; results are bit-identical to
-    :func:`execute`'s reference loop in every dtype.
-    """
-    plan = prepared.plan
-    network = plan.network
-    config = plan.config
-    dtype = plan.dtype
-    batch_size = prepared.batch_size
-    record = prepared.record
-    encoder = network.encoder
-    layers = network.layers
-    output_layer = network.output_layer
-    program = prepared.network_program
-
-    recorded_steps = plan.recorded_steps
-    output_history = np.empty(
-        (len(recorded_steps), batch_size, network.num_classes), dtype=dtype
-    )
-    snapshot = 0
-    patience = config.early_exit_patience
-    margin = config.early_exit_margin
-    frozen_at = None
-
-    if patience is None:
-        # nothing interrupts the horizon: each inter-snapshot span runs in
-        # one seam crossing (a single whole-run block by default — the
-        # program fills the snapshots itself)
-        for t0, n in block_schedule(config):
-            snapshot = program.run_block(
-                t0, n, output_history=output_history, snapshot=snapshot
-            )
-    else:
-        # converged-image early exit: single-step blocks, with the exact
-        # logits observation / freeze bookkeeping of the per-step loop
-        active = np.arange(batch_size)
-        latest_logits = np.zeros((batch_size, network.num_classes), dtype=dtype)
-        prev_pred = np.full(batch_size, -1, dtype=np.int64)
-        stable = np.zeros(batch_size, dtype=np.int64)
-        frozen_at = np.full(batch_size, -1, dtype=np.int64)
-        margin_scratch = None
-        if margin is not None and network.num_classes >= 2:
-            margin_scratch = np.empty((batch_size, network.num_classes), dtype=dtype)
-        for t in range(config.time_steps):
-            program.run_block(t, 1, batch_indices=active)
-            logits = output_layer.logits
-            latest_logits[active] = logits
-            if snapshot < len(recorded_steps) and t + 1 == recorded_steps[snapshot]:
-                np.copyto(output_history[snapshot], latest_logits)
-                snapshot += 1
-            predictions = logits.argmax(axis=1)
-            unchanged = predictions == prev_pred[active]
-            if margin is None:
-                stable[active] = np.where(unchanged, stable[active] + 1, 1)
-            else:
-                if margin_scratch is not None:
-                    scratch = margin_scratch[: logits.shape[0]]
-                    np.copyto(scratch, logits)
-                    scratch.partition(logits.shape[1] - 2, axis=1)
-                    confident = (scratch[:, -1] - scratch[:, -2]) / (t + 1) >= margin
-                    qualifies = unchanged & confident
-                else:
-                    qualifies = unchanged  # a 1-class output has no margin
-                stable[active] = np.where(qualifies, stable[active] + 1, 0)
-            prev_pred[active] = predictions
-            frozen = stable[active] >= patience
-            if frozen.any() and t + 1 < config.time_steps:
-                frozen_at[active[frozen]] = t + 1
-                keep = np.flatnonzero(~frozen)
-                if keep.size == 0:
-                    while snapshot < len(recorded_steps):
-                        np.copyto(output_history[snapshot], latest_logits)
-                        snapshot += 1
-                    break
-                encoder.shrink_batch(keep)
-                for layer in layers:
-                    layer.shrink_batch(keep)
-                # shrinking reallocates the per-batch buffers the compiled
-                # programs capture — refresh the layer programs, then the
-                # network program composed over them
-                for layer in layers:
-                    layer.ensure_step_program()
-                prepared.recompile_network_program()
-                program = prepared.network_program
-                active = active[keep]
 
     return SimulationResult(
         output_history=output_history,

@@ -33,7 +33,8 @@ they must survive longer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import List, Optional
 
 import numpy as np
 
@@ -61,9 +62,9 @@ class EncodedStep:
     values: np.ndarray
     spikes: np.ndarray
 
-    @property
+    @cached_property
     def spike_count(self) -> int:
-        """Total number of spikes emitted this step."""
+        """Total number of spikes emitted this step (counted once)."""
         return int(np.count_nonzero(self.spikes))
 
 
@@ -250,6 +251,8 @@ class PhaseEncoder(InputEncoder):
     period a spike of amplitude ``2^-(1+p) · v_th`` is emitted iff bit ``p`` of
     the quantised value is set.  One full period therefore transmits the value
     with ``period``-bit precision, and the per-step throughput is ``1/period``.
+    The per-phase spikes, amplitudes and spike counts are computed once at
+    ``reset``; a step only selects its phase.
     """
 
     coding = "phase"
@@ -262,6 +265,7 @@ class PhaseEncoder(InputEncoder):
         self.period = int(period)
         self._bits: Optional[np.ndarray] = None
         self._values: Optional[np.ndarray] = None
+        self._steps: Optional[List[EncodedStep]] = None
 
     @property
     def throughput_factor(self) -> float:  # type: ignore[override]
@@ -274,8 +278,16 @@ class PhaseEncoder(InputEncoder):
     def shrink_batch(self, keep: np.ndarray) -> None:
         super().shrink_batch(keep)
         if self._bits is not None:
-            self._bits = np.ascontiguousarray(self._bits[:, np.asarray(keep, dtype=np.intp)])
-            self._values = np.empty(self._x.shape, dtype=self.dtype)
+            keep = np.asarray(keep, dtype=np.intp)
+            self._bits = np.ascontiguousarray(self._bits[:, keep])
+            self._values = np.ascontiguousarray(self._values[:, keep])
+            self._index_phases()
+
+    def _index_phases(self) -> None:
+        self._steps = [
+            EncodedStep(values=values, spikes=bits)
+            for values, bits in zip(self._values, self._bits)
+        ]
 
     def reset(self, x: np.ndarray, dtype: DTypeLike = None) -> None:
         super().reset(x, dtype)
@@ -287,16 +299,15 @@ class PhaseEncoder(InputEncoder):
             # bit for weight 2^-(p+1) is bit (period-1-p) of the integer
             bits[p] = (scaled >> (self.period - 1 - p)) & 1
         self._bits = bits
-        self._values = np.empty(self.input.shape, dtype=self.dtype)
+        self._values = np.empty(bits.shape, dtype=self.dtype)
+        for p in range(self.period):
+            np.multiply(bits[p], (2.0 ** (-(1 + p))) * self.v_th, out=self._values[p])
+        self._index_phases()
 
     def step(self, t: int) -> EncodedStep:
-        if self._bits is None or self._values is None:
+        if self._steps is None:
             raise RuntimeError("encoder.reset(x) must be called before step()")
-        phase = t % self.period
-        spikes = self._bits[phase]
-        amplitude = (2.0 ** (-(1 + phase))) * self.v_th
-        np.multiply(spikes, amplitude, out=self._values)
-        return EncodedStep(values=self._values, spikes=spikes)
+        return self._steps[t % self.period]
 
 
 class BurstEncoder(InputEncoder):

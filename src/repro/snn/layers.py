@@ -31,6 +31,11 @@ of the sparse paths):
   simulation dtype (float32 by default, float64 opt-in — see
   :mod:`repro.utils.dtypes`); per-step bias injection uses a precomputed
   ``bias_scale·b`` vector;
+* whatever does not change within a run is settled at ``reset``, not per
+  step: the ``REPRO_SPARSE_MODE`` parse (by the dispatcher), threshold
+  positivity (by the threshold dynamics), a convolution's dense kernel
+  (canonical im2col or direct plan) and the direct-conv GEMM engine
+  (chosen while calibrating the dispatcher);
 * every synaptic layer dispatches each step through a per-layer
   :class:`~repro.utils.sparsity.SparsityDispatcher`: an all-zero incoming
   tensor short-circuits to a precomputed bias response (exact in every
@@ -61,14 +66,12 @@ bit for bit.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.ann.im2col import DirectConvPlan, Im2colPlan, conv_output_size
 from repro.backends import resolve_backend
-from repro.backends.programs import ComposedStepProgram, fused_programs_enabled
 from repro.snn.neurons import IFNeuronState, ResetMode
 from repro.snn.thresholds import ThresholdDynamics
 from repro.utils import sparsity
@@ -116,9 +119,6 @@ class SpikingLayer:
         #: forwards it to the next layer as ``incoming_nonzero`` so cheap
         #: layers can skip re-scanning their input for activity
         self.output_nonzero: Optional[int] = None
-        #: the compiled per-step program (fused when the backend offers one,
-        #: composed otherwise); dropped whenever captured buffers may change
-        self._program = None
         #: extra component of the sparsity-calibration cache key; replica
         #: session pools set a per-replica tag so replicas calibrating the
         #: same geometry concurrently never contend on one cache entry
@@ -142,7 +142,6 @@ class SpikingLayer:
         self.backend_changed = self._ops is not None and resolved is not self._ops
         self._ops = resolved
         self.last_spikes = None
-        self._program = None
 
     @property
     def ops(self):
@@ -168,39 +167,7 @@ class SpikingLayer:
         ``incoming_nonzero`` is an optional exact nonzero count of
         ``incoming`` supplied by the producing layer (see
         :attr:`output_nonzero`); layers may use it to skip an activity scan.
-
-        Runs through the layer's compiled :class:`~repro.backends.programs.
-        StepProgram` — fused when the backend offers one for this layer,
-        otherwise the composed multi-call body (:meth:`_step_composed`).
         """
-        program = self._program
-        if program is None:
-            program = self.ensure_step_program()
-        return program.run(incoming, t, incoming_nonzero)
-
-    def ensure_step_program(self):
-        """Resolve (compiling if needed) and cache the layer's step program.
-
-        Compilation is lazy — it happens on the first step after a reset —
-        so anything pinned between ``reset()`` and the first step (dispatcher
-        ``force`` modes, environment variables) is honoured.  The engine also
-        calls this eagerly at plan-prepare time and again after mid-run batch
-        shrinks so program resolution never lands inside the timed loop.
-        """
-        program = self._program
-        if program is None:
-            if fused_programs_enabled():
-                program = self.ops.compile_step_program(self)
-            if program is None:
-                program = ComposedStepProgram(self)
-            self._program = program
-        return program
-
-    def _step_composed(
-        self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
-    ) -> np.ndarray:
-        """The layer's original unfused step body (one backend primitive per
-        kernel) — the universal fallback every backend can run."""
         raise NotImplementedError
 
     def shrink_batch(self, keep: np.ndarray) -> None:
@@ -214,8 +181,6 @@ class SpikingLayer:
             raise ValueError(f"{self.name}: shrink_batch requires at least one kept row")
         self.batch_size = int(keep.size)
         self.last_spikes = None
-        # compiled programs capture per-batch buffers — recompile after slicing
-        self._program = None
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         """Per-sample output shape given a per-sample input shape."""
@@ -278,7 +243,7 @@ class _SpikingNeuronLayer(SpikingLayer):
             return None
         dispatcher = self.dispatcher
         assert dispatcher is not None
-        if dispatcher.force is not None or os.environ.get("REPRO_SPARSE_MODE"):
+        if dispatcher.forced is not None:
             return None  # forced modes keep the full (scanned) dispatch path
         fraction = count / incoming.size
         if count == 0:
@@ -307,18 +272,19 @@ class _SpikingNeuronLayer(SpikingLayer):
             and self.state.reset_mode is self.reset_mode
         ):
             self.state.ops = self.ops  # the backend may change between runs
-            self.state.reset()  # reuse the allocated membrane/scratch buffers
         else:
             self.state = IFNeuronState(
                 shape, reset_mode=self.reset_mode, dtype=self.dtype, ops=self.ops
             )
         self.threshold.reset(shape, dtype=self.dtype, backend=self.ops)
+        # positivity is settled once per reset, not re-checked on every step
+        self.state.reset(thresholds_positive=self.threshold.positive_by_construction())
         exact_only = self.dtype == np.float64
         if self.dispatcher is None:
             self.dispatcher = SparsityDispatcher(self.name, exact_only=exact_only)
         else:
             self.dispatcher.exact_only = exact_only
-            self.dispatcher.reset_counters()
+            self.dispatcher.reset()
         self._z_cache = None if self._input_period is None else [None] * self._input_period
         self._prepare_buffers(batch_size)
         self._calibrate_dispatcher()
@@ -333,7 +299,6 @@ class _SpikingNeuronLayer(SpikingLayer):
         the cache afterwards — bit-exact in every dtype, since the cached
         array *is* the earlier result.  ``None`` disables caching.
         """
-        self._program = None  # programs bind the cache list at compile time
         if period is None or period <= 0:
             self._input_period = None
             self._z_cache = None
@@ -362,10 +327,11 @@ class _SpikingNeuronLayer(SpikingLayer):
     def _synaptic_input(self, incoming: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _step_composed(
+    def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
-        if self.state is None:
+        state = self.state
+        if state is None:
             raise RuntimeError(f"{self.name}: reset(batch_size) must be called before step()")
         self._incoming_nonzero = incoming_nonzero
         cache = self._z_cache
@@ -379,13 +345,12 @@ class _SpikingNeuronLayer(SpikingLayer):
                 cache[phase] = z
         else:
             z = self._synaptic_input(np.asarray(incoming))
-        thresholds = self.threshold.thresholds(t)
-        spikes, amplitudes = self.state.step(z, thresholds)
-        self.threshold.update(
-            spikes, self.state.spike_signals, spike_count=self.state.last_spike_count
-        )
+        threshold = self.threshold
+        spikes, amplitudes = state.step(z, threshold.thresholds(t))
+        count = state.last_spike_count
+        threshold.update(spikes, state.spike_signals, spike_count=count)
         self.last_spikes = spikes
-        self.output_nonzero = self.state.last_spike_count
+        self.output_nonzero = count
         return amplitudes
 
     def membrane(self) -> np.ndarray:
@@ -479,7 +444,7 @@ class SpikingDense(_SpikingNeuronLayer):
     def _calibrate_dispatcher(self) -> None:
         dispatcher = self.dispatcher
         assert dispatcher is not None
-        if dispatcher.exact_only or dispatcher._forced_mode() is not None:
+        if dispatcher.exact_only or dispatcher.forced is not None:
             return
         batch = self.batch_size or 1
         # keyed by backend: crossovers timed on one backend's kernels must
@@ -512,7 +477,7 @@ class SpikingDense(_SpikingNeuronLayer):
     def _dense_input(self, incoming: np.ndarray) -> np.ndarray:
         z = self._z
         assert z is not None and self._w_sim is not None
-        ops = self.ops
+        ops = self._ops
         ops.matmul(incoming, self._w_sim, z)
         if self._scaled_bias is not None:
             ops.add_inplace(z, self._scaled_bias)
@@ -545,9 +510,10 @@ class SpikingDense(_SpikingNeuronLayer):
         return z
 
     def _synaptic_input(self, incoming: np.ndarray) -> np.ndarray:
-        if incoming.ndim != 2 or incoming.shape[1] != self.in_features:
+        in_features = self.weight.shape[0]
+        if incoming.ndim != 2 or incoming.shape[1] != in_features:
             raise ValueError(
-                f"{self.name}: expected incoming shape (N, {self.in_features}), "
+                f"{self.name}: expected incoming shape (N, {in_features}), "
                 f"got {incoming.shape}"
             )
         dispatcher = self.dispatcher
@@ -556,8 +522,8 @@ class SpikingDense(_SpikingNeuronLayer):
         if decision is None:
             # dispatch metric: fraction of input features active anywhere in
             # the batch — the gather path's cost driver, exact for emptiness
-            active = self.ops.active_features(incoming)
-            decision = dispatcher.choose(active.size / self.in_features)
+            active = self._ops.active_features(incoming)
+            decision = dispatcher.choose(active.size / in_features)
             if decision == sparsity.SPARSE:
                 return self._sparse_input(incoming, active)
         if decision == sparsity.EMPTY:
@@ -642,6 +608,7 @@ class SpikingConv2D(_SpikingNeuronLayer):
         self._z2d: Optional[np.ndarray] = None
         self._z4: Optional[np.ndarray] = None
         self._z_empty: Optional[np.ndarray] = None
+        self._canonical = True
 
     @property
     def out_channels(self) -> int:
@@ -681,6 +648,10 @@ class SpikingConv2D(_SpikingNeuronLayer):
             self._scaled_bias = _cast_cached(
                 self._cast_cache, "scaled_bias", self.bias_scale * self.bias, self.dtype
             )
+        # float64 is the exact-match reference precision: it stays on the
+        # canonical im2col pipeline (see repro.utils.sparsity), as do strided
+        # layers the direct plan does not cover
+        self._canonical = self.dtype == np.float64 or not self._direct_available
         empty_shape = (batch_size, out_c, out_h, out_w)
         if self._z_empty is None or self._z_empty.shape != empty_shape or self._z_empty.dtype != self.dtype:
             self._z_empty = ops.zeros(empty_shape, self.dtype)
@@ -726,7 +697,7 @@ class SpikingConv2D(_SpikingNeuronLayer):
         if (
             dispatcher.exact_only
             or not self._direct_available
-            or dispatcher._forced_mode() is not None
+            or dispatcher.forced is not None
         ):
             return
         batch = self.batch_size or 1
@@ -772,9 +743,7 @@ class SpikingConv2D(_SpikingNeuronLayer):
         return self._z4
 
     def _dense_input(self, incoming: np.ndarray) -> np.ndarray:
-        # float64 is the exact-match reference precision: stay on the
-        # canonical im2col pipeline there (see repro.utils.sparsity)
-        if self.dtype == np.float64 or not self._direct_available:
+        if self._canonical:
             return self._canonical_input(incoming)
         return self._direct_plan().run(incoming, self._taps, self._scaled_bias)
 
@@ -810,7 +779,7 @@ class SpikingConv2D(_SpikingNeuronLayer):
             # dispatch metric: fraction of input channels carrying any spike —
             # a cheap reduction that doubles as the sparse path's channel list
             # and is exact for empty detection (no active channel ⟺ all zero)
-            active = self.ops.active_channels(incoming)
+            active = self._ops.active_channels(incoming)
             decision = dispatcher.choose(
                 active.size / expected_c, sparse_available=self._direct_available
             )
@@ -850,6 +819,7 @@ class SpikingAvgPool2D(SpikingLayer):
 
     def reset(self, batch_size: int, dtype: DTypeLike = None, backend=None) -> None:
         super().reset(batch_size, dtype, backend)
+        self.dispatcher.reset()
         if self.backend_changed:
             self._shape = None  # buffers rebuilt by the new backend on next step
 
@@ -882,7 +852,7 @@ class SpikingAvgPool2D(SpikingLayer):
         super().shrink_batch(keep)
         self._shape = None  # buffers rebuilt for the smaller batch on next step
 
-    def _step_composed(
+    def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
         del t
@@ -953,6 +923,7 @@ class SpikingMaxPool2D(SpikingLayer):
 
     def reset(self, batch_size: int, dtype: DTypeLike = None, backend=None) -> None:
         super().reset(batch_size, dtype, backend)
+        self.dispatcher.reset()
         self._steps_seen = 0
         if self.backend_changed:
             self._cumulative = None  # full rebuild by the new backend
@@ -997,7 +968,7 @@ class SpikingMaxPool2D(SpikingLayer):
         self._gated = self.ops.empty((n, c, out_h, out_w), self.dtype)
         self._gated_flat = self._gated.reshape(-1)
 
-    def _step_composed(
+    def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
         del t
@@ -1062,7 +1033,7 @@ class SpikingFlatten(SpikingLayer):
     def __init__(self, name: str = "spiking_flatten") -> None:
         super().__init__(name)
 
-    def _step_composed(
+    def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
         del t
@@ -1135,7 +1106,7 @@ class OutputAccumulator(SpikingLayer):
             self._logits = np.ascontiguousarray(self._logits[keep])
             self._update = np.empty_like(self._logits)
 
-    def _step_composed(
+    def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
         del t, incoming_nonzero

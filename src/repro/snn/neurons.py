@@ -32,10 +32,12 @@ integrate / compare / reset kernel); the numpy reference backend is the
 relocated original code, so the bit-identity guarantee is unchanged.
 
 Threshold positivity is validated once per simulation (on the first step
-after ``reset``) rather than every step; the threshold dynamics classes
-already guarantee positivity structurally (``v_th > 0`` at construction,
-burst/phase modulation factors are positive).  Scalar (0-d) thresholds are
-cheap enough to check every step and still are.
+after ``reset``) for array thresholds, and on every step for scalar (0-d)
+ones.  An owner whose threshold dynamics are positive by construction (the
+spiking layers with the built-in rate/phase/burst dynamics, see
+:meth:`~repro.snn.thresholds.ThresholdDynamics.positive_by_construction`)
+passes ``thresholds_positive=True`` to :meth:`IFNeuronState.reset` and skips
+the check entirely.
 """
 
 from __future__ import annotations
@@ -120,12 +122,16 @@ class IFNeuronState:
         self._amplitudes = self.ops.zeros(self.shape, self.dtype)
         self._threshold_validated = False
 
-    def reset(self) -> None:
-        """Return the membrane to the resting potential and clear counters."""
+    def reset(self, thresholds_positive: bool = False) -> None:
+        """Return the membrane to the resting potential and clear counters.
+
+        ``thresholds_positive`` declares that every threshold passed to
+        :meth:`step` until the next reset is > 0, so no step validates them.
+        """
         self.v_mem.fill(self.v_rest)
         self.total_spikes = 0
         self.last_spike_count = 0
-        self._threshold_validated = False
+        self._threshold_validated = thresholds_positive
 
     def shrink_batch(self, keep: np.ndarray) -> None:
         """Keep only the batch rows ``keep`` (converged-image early exit).
@@ -167,14 +173,16 @@ class IFNeuronState:
         """
         z = np.asarray(z, dtype=self.dtype)
         threshold = np.asarray(threshold, dtype=self.dtype)
-        if threshold.ndim == 0 or not self._threshold_validated:
+        if not self._threshold_validated:
             if np.any(threshold <= 0):
                 raise ValueError("thresholds must be strictly positive")
-            self._threshold_validated = True
+            # an array is validated once per simulation; a scalar is cheap
+            # enough to check on every step
+            self._threshold_validated = threshold.ndim > 0
 
         spikes = self._spikes
         amplitudes = self._amplitudes
-        self.last_spike_count = self.ops.if_step(
+        count = self.ops.if_step(
             self.v_mem,
             z,
             threshold,
@@ -185,7 +193,8 @@ class IFNeuronState:
             self.v_rest,
             self.allow_negative_membrane,
         )
-        self.total_spikes += self.last_spike_count
+        self.last_spike_count = count
+        self.total_spikes += count
         return spikes, amplitudes
 
     @property

@@ -89,26 +89,29 @@ class LayerRecord:
         optional precomputed ``np.count_nonzero(spikes)`` (the engine already
         counts spikes for its dispatch hints), skipping a recount here.
         """
-        record_train = record_trains and self.sampled_indices is not None and self.sampled_indices.size
-        if self._counts is not None:
+        counts = self._counts
+        if counts is not None:
             t = self._cursor
-            if t >= self._counts.shape[0]:
+            if t >= counts.shape[0]:
                 raise RuntimeError(
                     f"{self.name}: recorded more steps than the preallocated "
-                    f"{self._counts.shape[0]}"
+                    f"{counts.shape[0]}"
                 )
             if spikes is not None:
-                self._counts[t] = count if count is not None else np.count_nonzero(spikes)
-                if record_train and self._trains is not None:
+                counts[t] = count if count is not None else np.count_nonzero(spikes)
+                # preallocation sized the trains (None when not recorded)
+                trains = self._trains
+                if record_trains and trains is not None:
                     flat = spikes.reshape(spikes.shape[0], -1)
-                    if batch_indices is None or flat.shape[0] == self._trains.shape[1]:
-                        np.take(flat, self.sampled_indices, axis=1, out=self._trains[t])
+                    if batch_indices is None or flat.shape[0] == trains.shape[1]:
+                        np.take(flat, self.sampled_indices, axis=1, out=trains[t])
                     else:
-                        self._trains[t, batch_indices] = flat[:, self.sampled_indices]
+                        trains[t, batch_indices] = flat[:, self.sampled_indices]
             # a None / non-spiking step leaves the preallocated zeros in place
             self._cursor = t + 1
             return
         # growable fallback (standalone LayerRecord use)
+        record_train = record_trains and self.sampled_indices is not None and self.sampled_indices.size
         if spikes is None:
             self._count_list.append(0)
             if record_train:
@@ -127,38 +130,6 @@ class LayerRecord:
                 step_trains = np.zeros((self.batch_size, len(self.sampled_indices)), dtype=bool)
                 step_trains[batch_indices] = flat[:, self.sampled_indices]
                 self._train_steps.append(step_trains)
-
-    # -- block recording (whole-network step programs) -------------------
-    def open_block(self, t0: int, n: int):
-        """Views of the preallocated storage for steps ``t0 … t0+n-1``.
-
-        The network step program records a whole block of steps per seam
-        crossing: it fills the returned ``(counts, trains)`` views in place
-        (``trains`` is ``None`` when trains are not recorded for this layer)
-        and commits the cursor once with :meth:`record_steps`.  Requires
-        :meth:`preallocate`; ``t0`` must equal the current cursor.
-        """
-        if self._counts is None:
-            raise RuntimeError(
-                f"{self.name}: open_block requires preallocated storage"
-            )
-        if t0 != self._cursor:
-            raise ValueError(
-                f"{self.name}: block starts at step {t0} but the record "
-                f"cursor is at {self._cursor}"
-            )
-        if n < 0 or t0 + n > self._counts.shape[0]:
-            raise RuntimeError(
-                f"{self.name}: block [{t0}, {t0 + n}) exceeds the "
-                f"preallocated {self._counts.shape[0]} steps"
-            )
-        counts = self._counts[t0 : t0 + n]
-        trains = None if self._trains is None else self._trains[t0 : t0 + n]
-        return counts, trains
-
-    def record_steps(self, n: int) -> None:
-        """Commit ``n`` steps recorded through an :meth:`open_block` view."""
-        self._cursor += int(n)
 
     # -- views -----------------------------------------------------------
     @property
@@ -246,10 +217,6 @@ class SpikeRecord:
     def advance(self) -> None:
         """Mark the end of one simulation time step."""
         self.time_steps += 1
-
-    def record_steps(self, n: int) -> None:
-        """Mark the end of ``n`` simulation steps (block execution)."""
-        self.time_steps += int(n)
 
     @property
     def all_records(self) -> List[LayerRecord]:

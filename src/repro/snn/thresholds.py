@@ -87,6 +87,15 @@ class ThresholdDynamics:
         """
         raise NotImplementedError
 
+    def positive_by_construction(self) -> bool:
+        """Whether every value :meth:`thresholds` returns until the next
+        :meth:`reset` is > 0, so the owning layer can skip the per-step check.
+
+        Called after :meth:`reset`.  The default makes no promise; a subclass
+        that overrides :meth:`thresholds` must override this as well.
+        """
+        return False
+
     def update(
         self,
         spikes: np.ndarray,
@@ -133,6 +142,9 @@ class ConstantThreshold(ThresholdDynamics):
         if self._cached is None:
             self._cached = np.asarray(self.v_th, dtype=self.dtype)
         return self._cached
+
+    def positive_by_construction(self) -> bool:
+        return bool(self.thresholds(0) > 0)
 
     def describe(self) -> str:
         return f"ConstantThreshold(v_th={self.v_th})"
@@ -181,6 +193,9 @@ class PhaseThreshold(ThresholdDynamics):
         if self._table is None:
             self._table = self._build_table(self.dtype)
         return self._table[(t + self.phase_offset) % self.period]
+
+    def positive_by_construction(self) -> bool:
+        return all(self.thresholds(t) > 0 for t in range(self.period))
 
     def describe(self) -> str:
         return f"PhaseThreshold(v_th={self.v_th}, period={self.period})"
@@ -304,6 +319,11 @@ class BurstThreshold(ThresholdDynamics):
         self.ops.scale(self._g, self.v_th, self._th_buf)
         self._th_valid = True
         return self._th_buf
+
+    def positive_by_construction(self) -> bool:
+        # g starts at 1 and only ever grows by β > 1 or resets to 1, and
+        # rounding is monotonic, so g·v_th ≥ v_th in the simulation dtype
+        return bool(np.asarray(self.v_th, dtype=self.dtype) > 0)
 
     def update(
         self,

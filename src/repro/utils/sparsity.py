@@ -162,8 +162,9 @@ class SparsityDispatcher:
         in by :meth:`calibrate` at the layer's first reset.
     force:
         ``"dense"`` / ``"sparse"`` pins the decision (tests, experiments) and
-        bypasses the exactness gate; ``None`` reads the ``REPRO_SPARSE_MODE``
-        environment variable and otherwise dispatches automatically.
+        bypasses the exactness gate; ``None`` defers to the
+        ``REPRO_SPARSE_MODE`` environment variable (parsed by :meth:`reset`)
+        and otherwise dispatches automatically.
     """
 
     def __init__(
@@ -176,24 +177,42 @@ class SparsityDispatcher:
         self.name = name
         self.exact_only = bool(exact_only)
         self.crossover = float(crossover)
+        self.env_mode: Optional[str] = None
         self.force = force
         self.calibrated = False
-        #: decisions taken since the last reset (diagnostics / tests)
-        self.decisions: Dict[str, int] = {DENSE: 0, SPARSE: 0, EMPTY: 0}
+        self.reset()
 
-    def _forced_mode(self) -> Optional[str]:
-        mode = self.force
-        if mode is None:
-            mode = os.environ.get("REPRO_SPARSE_MODE") or None
-            if mode is not None:
-                mode = mode.strip().lower()
-                if mode == "auto":
-                    mode = None
+    @property
+    def force(self) -> Optional[str]:
+        return self._force
+
+    @force.setter
+    def force(self, mode: Optional[str]) -> None:
         if mode is not None and mode not in (DENSE, SPARSE):
             raise ValueError(
-                f"{self.name}: sparse mode must be 'dense', 'sparse' or 'auto', got {mode!r}"
+                f"{self.name}: sparse mode must be 'dense', 'sparse' or None, got {mode!r}"
             )
-        return mode
+        self._force = mode
+        #: the pinned branch (``force`` wins over the environment's mode),
+        #: resolved here and at reset so :meth:`choose` only reads it
+        self.forced = mode if mode is not None else self.env_mode
+
+    def reset(self) -> None:
+        """Start a simulation: clear the decision counters and parse
+        ``REPRO_SPARSE_MODE`` once (``auto`` or unset dispatch automatically).
+
+        Raises :class:`ValueError` on an invalid value, so a typo fails at
+        layer reset rather than on the first step.
+        """
+        self.reset_counters()
+        mode = (os.environ.get("REPRO_SPARSE_MODE") or "auto").strip().lower()
+        if mode not in (DENSE, SPARSE, "auto"):
+            raise ValueError(
+                f"{self.name}: REPRO_SPARSE_MODE must be 'dense', 'sparse' or 'auto', "
+                f"got {mode!r}"
+            )
+        self.env_mode = None if mode == "auto" else mode
+        self.forced = self._force if self._force is not None else self.env_mode
 
     def calibrate(
         self,
@@ -217,7 +236,8 @@ class SparsityDispatcher:
         return cached
 
     def reset_counters(self) -> None:
-        self.decisions = {DENSE: 0, SPARSE: 0, EMPTY: 0}
+        #: decisions taken since the last reset (diagnostics / tests)
+        self.decisions: Dict[str, int] = {DENSE: 0, SPARSE: 0, EMPTY: 0}
 
     def choose(self, fraction: float, sparse_available: bool = True) -> str:
         """Pick the propagation kernel for one step.
@@ -230,19 +250,7 @@ class SparsityDispatcher:
             Whether the owning layer has a sparse kernel for the current
             geometry (e.g. strided convolutions fall back to dense).
         """
-        return self.choose_resolved(self._forced_mode(), fraction, sparse_available)
-
-    def choose_resolved(
-        self, forced: Optional[str], fraction: float, sparse_available: bool = True
-    ) -> str:
-        """:meth:`choose` with the forced mode already resolved by the caller.
-
-        Fused step programs (:mod:`repro.backends.programs`) resolve the
-        ``REPRO_SPARSE_MODE`` environment variable once at compile time and
-        re-read only the cheap ``force`` attribute per step, so they call this
-        entry point directly; the decision logic and the ``decisions``
-        counters are exactly those of :meth:`choose`.
-        """
+        forced = self.forced
         if forced == DENSE:
             decision = DENSE
         elif forced == SPARSE and sparse_available:

@@ -1,6 +1,6 @@
 """Backend registry, resolution and cross-backend parity (golden suite).
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 * the registry plumbing — registration, did-you-mean errors, env var /
   override / explicit-config resolution order, clean unavailability of
@@ -14,7 +14,9 @@ Four layers of guarantees:
   reference (``benchmarks/perf/seed_reference.json``, enforced by
   ``tests/test_dtype_policy.py``) pins this backend's float64 outputs;
 * the calibration-cache keying — sparsity crossovers are cached per backend
-  so mixed-backend processes cannot cross-contaminate dispatch decisions.
+  so mixed-backend processes cannot cross-contaminate dispatch decisions;
+* the **seam contract** — per layer type × threshold dynamics, one ``step``
+  calls exactly the expected multiset of backend primitives.
 """
 
 import numpy as np
@@ -277,227 +279,157 @@ class TestBlockedBackendKernels:
         assert np.array_equal(out, a @ b)
 
 
-class TestFusedStepPrograms:
-    """Fused per-step kernel programs (``repro.backends.programs``).
+def _threshold(coding: str):
+    from repro.snn.thresholds import BurstThreshold, ConstantThreshold, PhaseThreshold
 
-    Three guarantees: fused programs are what the engine runs by default
-    (and compile to actually-fused objects on the numpy backends); they
-    reproduce the composed per-kernel path bit for bit on the numpy
-    backends (prediction-level on torch); and they genuinely collapse the
-    backend seam — far fewer counted backend invocations per layer per
-    step than the composed path.
-    """
+    return {
+        "rate": lambda: ConstantThreshold(v_th=0.125),
+        "phase": lambda: PhaseThreshold(v_th=0.125),
+        "burst": lambda: BurstThreshold(v_th=0.125),
+    }[coding]()
 
-    FUSED_BACKENDS = ("numpy", "numpy-blocked", "torch")
 
-    @staticmethod
-    def _profile_stack():
-        from repro.snn.layers import (
-            OutputAccumulator,
-            SpikingAvgPool2D,
-            SpikingConv2D,
-            SpikingDense,
-            SpikingFlatten,
-            SpikingMaxPool2D,
+def _neuron_layer(kind: str, coding: str, bias: bool = True):
+    """A dense or conv layer whose all-positive weights make every neuron
+    fire on an all-ones input, so each step takes the spiking branch."""
+    from repro.snn.layers import SpikingConv2D, SpikingDense
+
+    if kind == "dense":
+        layer = SpikingDense(
+            np.full((16, 8), 0.1), np.full(8, 0.01) if bias else None,
+            _threshold(coding), name="dense",
         )
-        from repro.snn.thresholds import BurstThreshold
+        return layer, np.ones((2, 16))
+    layer = SpikingConv2D(
+        np.full((4, 3, 3, 3), 0.1), np.full(4, 0.01) if bias else None,
+        _threshold(coding), padding=1, input_shape=(3, 6, 6), name="conv",
+    )
+    return layer, np.ones((2, 3, 6, 6))
 
-        rng = np.random.default_rng(11)
-        layers = [
-            SpikingConv2D(
-                rng.normal(scale=0.1, size=(4, 4, 3, 3)),
-                rng.normal(scale=0.1, size=4),
-                BurstThreshold(v_th=0.125),
-                padding=1,
-                input_shape=(4, 8, 8),
-                name="conv",
-            ),
-            SpikingAvgPool2D(2, name="avgpool"),
-            SpikingMaxPool2D(2, name="maxpool"),
-            SpikingFlatten(name="flatten"),
-            SpikingDense(
-                rng.normal(scale=0.1, size=(4 * 2 * 2, 12)),
-                rng.normal(scale=0.05, size=12),
-                BurstThreshold(v_th=0.125),
-                name="dense",
-            ),
-            OutputAccumulator(
-                rng.normal(scale=0.1, size=(12, 4)),
-                rng.normal(scale=0.05, size=4),
-                name="output",
-            ),
-        ]
-        x = np.asarray((rng.random((4, 4, 8, 8)) < 0.3) * 0.125, dtype=np.float32)
-        return layers, x
+
+#: the threshold dynamics' own primitives on a spiking step: burst coding
+#: recomputes g·v_th, then grows and commits g; rate and phase call nothing
+THRESHOLD_CALLS = {
+    "rate": {},
+    "phase": {},
+    "burst": {"scale": 1, "burst_grow": 1, "burst_commit_signals": 1},
+}
+
+
+class TestStepSeamContract:
+    """Each layer's ``step`` is its only step path: one step on an
+    ``InstrumentedBackend`` calls exactly the expected multiset of backend
+    primitives (float64, with the exact nonzero hint the engine forwards)."""
 
     @staticmethod
-    def _count_seam_calls(layers, x, fused: bool, steps: int = 8) -> int:
-        from repro.backends import fused_scope, get_backend
+    def _counted_step(layer, x, hint, dtype="float64", warm_steps=1):
+        """Counts of one step after ``warm_steps`` uncounted ones (the first
+        step builds lazy conv/pool plans)."""
         from repro.backends.instrument import InstrumentedBackend
 
         backend = InstrumentedBackend(get_backend("numpy"))
-        with fused_scope(fused):
-            for layer in layers:
-                layer.reset(x.shape[0], dtype="float32", backend=backend)
-            programs = [layer.ensure_step_program() for layer in layers]
-            assert all(program.fused == fused for program in programs)
+        layer.reset(x.shape[0], dtype=dtype, backend=backend)
+        x = np.asarray(x, dtype=dtype)
+        for t in range(warm_steps):
+            layer.step(x, t, hint)
+        backend.recorder.reset()
+        layer.step(x, warm_steps, hint)
+        return dict(backend.recorder.counts)
 
-            def one_step(t):
-                values, hint = x, None
-                for layer, program in zip(layers, programs):
-                    layer.output_nonzero = None
-                    values = program.run(values, t, hint)
-                    hint = layer.output_nonzero
+    @pytest.mark.parametrize("coding", ["rate", "phase", "burst"])
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_spiking_step(self, kind, coding):
+        layer, x = _neuron_layer(kind, coding)
+        counts = self._counted_step(layer, x, hint=x.size)
+        assert layer.output_nonzero == layer.num_neurons * x.shape[0]
+        # GEMM, bias injection, the IF update, then the threshold dynamics
+        expected = {"matmul": 1, "add_inplace": 1, "if_step": 1}
+        expected.update(THRESHOLD_CALLS[coding])
+        assert counts == expected
 
-            one_step(0)  # lazy buffer builds happen outside the counted region
-            backend.recorder.reset()
-            for t in range(1, 1 + steps):
-                one_step(t)
-        snapshot = backend.recorder.snapshot()
-        return sum(
-            entry["calls"]
-            for name, entry in snapshot.items()
-            if not name.startswith("program:")
-        ), steps, len(layers)
+    @pytest.mark.parametrize("coding", ["rate", "phase", "burst"])
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_empty_step_skips_the_gemm(self, kind, coding):
+        layer, x = _neuron_layer(kind, coding, bias=False)
+        counts = self._counted_step(layer, np.zeros_like(x), hint=0, warm_steps=0)
+        assert layer.output_nonzero == 0
+        # the first burst step still computes g·v_th; a silent step over an
+        # all-ones g leaves the burst function untouched
+        expected = {"if_step": 1}
+        if coding == "burst":
+            expected["scale"] = 1
+        assert counts == expected
 
-    def test_fused_path_collapses_backend_seam(self):
-        """≤ 2 counted backend invocations per layer per step when fused,
-        and a large multiple of that on the composed path."""
-        layers, x = self._profile_stack()
-        composed, steps, n_layers = self._count_seam_calls(layers, x, fused=False)
-        fused, _, _ = self._count_seam_calls(layers, x, fused=True)
-        assert fused <= 2 * n_layers * steps, (
-            f"fused path crossed the seam {fused} times over {steps} steps × "
-            f"{n_layers} layers — programs are not fusing the kernel chains"
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_unhinted_step_scans_activity(self, kind):
+        layer, x = _neuron_layer(kind, "rate")
+        counts = self._counted_step(layer, x, hint=None)
+        scan = "active_features" if kind == "dense" else "active_channels"
+        assert counts == {scan: 1, "matmul": 1, "add_inplace": 1, "if_step": 1}
+
+    def test_pooling_flatten_and_output_steps(self):
+        from repro.snn.layers import (
+            OutputAccumulator,
+            SpikingAvgPool2D,
+            SpikingFlatten,
+            SpikingMaxPool2D,
         )
-        assert composed >= 2 * fused, (
-            f"composed path made {composed} backend calls vs {fused} fused — "
-            "the instrumented comparison lost its contrast"
-        )
 
-    def test_fused_is_the_default_and_scope_restores(self):
-        from repro.backends import fused_programs_enabled, fused_scope
+        x = np.full((2, 3, 4, 4), 0.125)
+        assert self._counted_step(SpikingAvgPool2D(2), x, hint=x.size) == {"avgpool2x2": 1}
+        assert self._counted_step(SpikingAvgPool2D(2), x, hint=None) == {
+            "count_nonzero": 1, "avgpool2x2": 1,
+        }
+        assert self._counted_step(SpikingMaxPool2D(2), x, hint=x.size) == {
+            "add_inplace": 1, "argmax_columns": 1, "take_flat": 1,
+        }
+        zeros = np.zeros_like(x)
+        assert self._counted_step(SpikingAvgPool2D(2), zeros, hint=0) == {"fill": 1}
+        assert self._counted_step(SpikingMaxPool2D(2), zeros, hint=0) == {"fill": 1}
+        assert self._counted_step(SpikingFlatten(), x, hint=x.size) == {}
+        output = OutputAccumulator(np.full((8, 3), 0.1), np.zeros(3))
+        assert self._counted_step(output, np.ones((2, 8)), hint=16) == {
+            "matmul": 1, "add_inplace": 2,
+        }
 
-        assert fused_programs_enabled()
-        with fused_scope(False):
-            assert not fused_programs_enabled()
-        assert fused_programs_enabled()
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_auto_sparse_mode_keeps_the_hint_shortcut(self, kind, monkeypatch):
+        """``REPRO_SPARSE_MODE=auto`` behaves exactly like unset: a hinted
+        empty or full step is decided without an activity scan."""
+        monkeypatch.setenv("REPRO_SPARSE_MODE", "auto")
+        layer, x = _neuron_layer(kind, "burst")
+        full = self._counted_step(layer, x, hint=x.size, dtype="float32")
+        empty = self._counted_step(layer, np.zeros_like(x), hint=0, dtype="float32")
+        for counts in (full, empty):
+            assert counts.get("active_features", 0) == 0
+            assert counts.get("active_channels", 0) == 0
 
-    @pytest.mark.parametrize("notation", PARITY_SCHEMES)
-    @pytest.mark.parametrize("dtype", PARITY_DTYPES)
-    @pytest.mark.parametrize("backend", FUSED_BACKENDS)
-    def test_fused_matches_composed(
-        self, parity_snn_factory, tiny_color_split, notation, dtype, backend
-    ):
-        """Fused programs replay the composed path's exact kernel sequences:
-        bit-identical histories and spike counts on the numpy backends (the
-        float64 rows are the bit-identity gate — the composed float64 path is
-        pinned to the seed reference by ``tests/test_dtype_policy.py``);
-        prediction-level agreement on torch."""
-        from repro.backends import fused_scope
+    def test_bogus_sparse_mode_fails_at_reset(self, monkeypatch):
+        from repro.snn.layers import SpikingAvgPool2D
 
-        if backend not in _available_backends():
-            pytest.skip(f"{backend} backend unavailable here")
-        x = tiny_color_split.test.x[:6]
-        snn = parity_snn_factory(notation)
-        config = SimulationConfig(time_steps=30, dtype=dtype, backend=backend)
-        with fused_scope(False):
-            composed = snn.run(x, config)
-        with fused_scope(True):
-            fused = snn.run(x, config)
-        if backend == "torch":
-            assert np.array_equal(composed.predictions(), fused.predictions())
-            spikes_c, spikes_f = composed.total_spikes(), fused.total_spikes()
-            assert abs(spikes_f - spikes_c) <= max(5, 0.01 * spikes_c)
-        else:
-            assert np.array_equal(composed.output_history, fused.output_history), (
-                f"{backend} fused output diverged from composed ({notation}, {dtype})"
-            )
-            assert composed.total_spikes() == fused.total_spikes()
+        layer, x = _neuron_layer("dense", "rate")
+        pool = SpikingAvgPool2D(2)
+        monkeypatch.setenv("REPRO_SPARSE_MODE", "bogus")
+        for target in (layer, pool):
+            with pytest.raises(ValueError, match="REPRO_SPARSE_MODE"):
+                target.reset(x.shape[0], dtype="float64")
 
-    def test_blocked_tiled_fused_dense_matches_composed(self):
-        """The blocked backend's tiled fused dense program (whole chain
-        sharded per row block) is bit-identical to the composed path on the
-        same backend, sequential and threaded."""
-        from repro.backends import fused_scope
-        from repro.backends.blocked import BlockedNumpyBackend, _BlockedFusedDenseProgram
-        from repro.snn.layers import SpikingDense
-        from repro.snn.thresholds import BurstThreshold
-
-        rng = np.random.default_rng(7)
-        w = rng.normal(scale=0.1, size=(24, 16))
-        bias = rng.normal(scale=0.05, size=16)
-        steps = 12
-        batch = 12
-        x = np.asarray(
-            (rng.random((steps, batch, 24)) < 0.3) * 0.125, dtype=np.float64
-        )
-        for threads in (1, 3):
-            backend = BlockedNumpyBackend(min_rows=3, threads=threads)
-            histories = {}
-            spikes = {}
-            for fused in (False, True):
-                layer = SpikingDense(w, bias, BurstThreshold(v_th=0.125), name="dense")
-                with fused_scope(fused):
-                    layer.reset(batch, dtype="float64", backend=backend)
-                    program = layer.ensure_step_program()
-                    if fused:
-                        assert type(program) is _BlockedFusedDenseProgram
-                    history = [
-                        np.array(program.run(x[t], t, None)) for t in range(steps)
-                    ]
-                histories[fused] = np.stack(history)
-                spikes[fused] = int(layer.state.total_spikes)
-            assert np.array_equal(histories[False], histories[True]), (
-                f"tiled fused dense diverged from composed (threads={threads})"
-            )
-            assert spikes[False] == spikes[True]
-
-    def test_composed_fallback_for_minimal_backend(self):
-        """A backend that only implements the unfused primitives still works:
-        its layers run on ``ComposedStepProgram`` (base-class fallback)."""
-        from repro.backends import ComposedStepProgram
+    def test_minimal_backend_runs_the_layer_steps(self):
+        """A backend that only implements the seam primitives runs every
+        layer: the step bodies are the one place a backend plugs in."""
         from repro.backends.numpy_backend import NumpyBackend
-        from repro.snn.layers import SpikingDense
-        from repro.snn.thresholds import BurstThreshold
 
         class MinimalBackend(NumpyBackend):
             name = "minimal-test"
             description = "primitives only (test double)"
 
-            def compile_step_program(self, layer):  # the base-class default
-                from repro.backends.base import KernelBackend
-
-                return KernelBackend.compile_step_program(self, layer)
-
-        rng = np.random.default_rng(5)
-        layer = SpikingDense(
-            rng.normal(scale=0.1, size=(16, 8)), None, BurstThreshold(v_th=0.125)
-        )
-        layer.reset(4, dtype="float32", backend=MinimalBackend())
-        program = layer.ensure_step_program()
-        assert type(program) is ComposedStepProgram and not program.fused
-        x = np.asarray((rng.random((4, 16)) < 0.4) * 0.125, dtype=np.float32)
-        out = program.run(x, 0, None)
-        assert out.shape == (4, 8)
-
-    def test_programs_invalidate_on_reset_and_shrink(self):
-        from repro.snn.layers import SpikingDense
-        from repro.snn.thresholds import BurstThreshold
-
-        rng = np.random.default_rng(6)
-        layer = SpikingDense(
-            rng.normal(scale=0.1, size=(16, 8)), None, BurstThreshold(v_th=0.125)
-        )
-        layer.reset(4, dtype="float32", backend="numpy")
-        program = layer.ensure_step_program()
-        assert layer.ensure_step_program() is program  # cached while valid
-        layer.reset(4, dtype="float32", backend="numpy")
-        assert layer._program is None  # reset invalidates
-        rebuilt = layer.ensure_step_program()
-        layer.shrink_batch(np.array([0, 2]))
-        assert layer._program is None  # shrink invalidates (stale buffer views)
-        assert layer.ensure_step_program() is not rebuilt
+        outputs = []
+        for backend in (MinimalBackend(), get_backend("numpy")):
+            layer, x = _neuron_layer("dense", "burst")
+            layer.reset(x.shape[0], dtype="float32", backend=backend)
+            outputs.append(np.array(layer.step(np.asarray(x, np.float32), 0, None)))
+        assert outputs[0].shape == (2, 8)
+        assert np.array_equal(outputs[0], outputs[1])
 
 
 class TestBackendSwitchInvalidation:

@@ -94,14 +94,17 @@ class TestDispatcherPolicy:
         assert forced.choose(0.0) == sparsity.EMPTY
 
     def test_env_var_force(self, monkeypatch):
+        # the environment is parsed once per reset, not on every step
         monkeypatch.setenv("REPRO_SPARSE_MODE", "sparse")
         dispatcher = SparsityDispatcher("layer", crossover=0.01)
         assert dispatcher.choose(0.9) == sparsity.SPARSE
         monkeypatch.setenv("REPRO_SPARSE_MODE", "auto")
+        assert dispatcher.choose(0.9) == sparsity.SPARSE
+        dispatcher.reset()
         assert dispatcher.choose(0.9) == sparsity.DENSE
         monkeypatch.setenv("REPRO_SPARSE_MODE", "bogus")
         with pytest.raises(ValueError):
-            dispatcher.choose(0.9)
+            dispatcher.reset()
 
     def test_decision_counters(self):
         dispatcher = SparsityDispatcher("layer", crossover=0.25)
