@@ -80,24 +80,28 @@ def execute(prepared: PreparedBatch, labels: Optional[np.ndarray] = None) -> Sim
     # an encoder whose values are nonzero exactly where it spiked lets the
     # first layer (and the pools downstream) skip activity re-scans
     encoder_tracks_spikes = getattr(encoder, "values_nonzero_tracks_spikes", False)
-    record_trains = config.record_trains
     for t in range(config.time_steps):
         encoded = encoder.step(t)
         batch_indices = active if patience is not None else None
         input_spikes = encoded.spike_count
-        input_record.record_step(encoded.spikes, record_trains, batch_indices, input_spikes)
+        input_record.record_step(
+            encoded.spikes,
+            config.record_trains,
+            batch_indices=batch_indices,
+            count=input_spikes,
+        )
         values = encoded.values
         nonzero_hint = input_spikes if encoder_tracks_spikes else None
         for layer, layer_record in zip(layers, layer_records):
             layer.output_nonzero = None
             values = layer.step(values, t, nonzero_hint)
             nonzero_hint = layer.output_nonzero
-            if layer.is_spiking:
-                layer_record.record_step(
-                    layer.last_spikes, record_trains, batch_indices, nonzero_hint
-                )
-            else:
-                layer_record.record_step(None, record_trains, batch_indices)
+            layer_record.record_step(
+                layer.last_spikes if layer.is_spiking else None,
+                config.record_trains,
+                batch_indices=batch_indices,
+                count=layer.output_nonzero if layer.is_spiking else None,
+            )
         record.advance()
         if patience is None:
             if snapshot < len(recorded_steps) and t + 1 == recorded_steps[snapshot]:

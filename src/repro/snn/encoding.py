@@ -33,7 +33,6 @@ they must survive longer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -62,9 +61,9 @@ class EncodedStep:
     values: np.ndarray
     spikes: np.ndarray
 
-    @cached_property
+    @property
     def spike_count(self) -> int:
-        """Total number of spikes emitted this step (counted once)."""
+        """Total number of spikes emitted this step."""
         return int(np.count_nonzero(self.spikes))
 
 
@@ -251,8 +250,8 @@ class PhaseEncoder(InputEncoder):
     period a spike of amplitude ``2^-(1+p) · v_th`` is emitted iff bit ``p`` of
     the quantised value is set.  One full period therefore transmits the value
     with ``period``-bit precision, and the per-step throughput is ``1/period``.
-    The per-phase spikes, amplitudes and spike counts are computed once at
-    ``reset``; a step only selects its phase.
+    The per-phase spikes and amplitudes are computed once at ``reset``; a
+    step only selects its phase.
     """
 
     coding = "phase"

@@ -33,8 +33,7 @@ of the sparse paths):
   ``bias_scale·b`` vector;
 * whatever does not change within a run is settled at ``reset``, not per
   step: the ``REPRO_SPARSE_MODE`` parse (by the dispatcher), threshold
-  positivity (by the threshold dynamics), a convolution's dense kernel
-  (canonical im2col or direct plan) and the direct-conv GEMM engine
+  positivity (by the threshold dynamics) and the direct-conv GEMM engine
   (chosen while calibrating the dispatcher);
 * every synaptic layer dispatches each step through a per-layer
   :class:`~repro.utils.sparsity.SparsityDispatcher`: an all-zero incoming
@@ -284,7 +283,7 @@ class _SpikingNeuronLayer(SpikingLayer):
             self.dispatcher = SparsityDispatcher(self.name, exact_only=exact_only)
         else:
             self.dispatcher.exact_only = exact_only
-            self.dispatcher.reset()
+        self.dispatcher.reset()
         self._z_cache = None if self._input_period is None else [None] * self._input_period
         self._prepare_buffers(batch_size)
         self._calibrate_dispatcher()
@@ -330,8 +329,7 @@ class _SpikingNeuronLayer(SpikingLayer):
     def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
-        state = self.state
-        if state is None:
+        if self.state is None:
             raise RuntimeError(f"{self.name}: reset(batch_size) must be called before step()")
         self._incoming_nonzero = incoming_nonzero
         cache = self._z_cache
@@ -345,12 +343,13 @@ class _SpikingNeuronLayer(SpikingLayer):
                 cache[phase] = z
         else:
             z = self._synaptic_input(np.asarray(incoming))
-        threshold = self.threshold
-        spikes, amplitudes = state.step(z, threshold.thresholds(t))
-        count = state.last_spike_count
-        threshold.update(spikes, state.spike_signals, spike_count=count)
+        thresholds = self.threshold.thresholds(t)
+        spikes, amplitudes = self.state.step(z, thresholds)
+        self.threshold.update(
+            spikes, self.state.spike_signals, spike_count=self.state.last_spike_count
+        )
         self.last_spikes = spikes
-        self.output_nonzero = count
+        self.output_nonzero = self.state.last_spike_count
         return amplitudes
 
     def membrane(self) -> np.ndarray:
@@ -477,7 +476,7 @@ class SpikingDense(_SpikingNeuronLayer):
     def _dense_input(self, incoming: np.ndarray) -> np.ndarray:
         z = self._z
         assert z is not None and self._w_sim is not None
-        ops = self._ops
+        ops = self.ops
         ops.matmul(incoming, self._w_sim, z)
         if self._scaled_bias is not None:
             ops.add_inplace(z, self._scaled_bias)
@@ -510,10 +509,9 @@ class SpikingDense(_SpikingNeuronLayer):
         return z
 
     def _synaptic_input(self, incoming: np.ndarray) -> np.ndarray:
-        in_features = self.weight.shape[0]
-        if incoming.ndim != 2 or incoming.shape[1] != in_features:
+        if incoming.ndim != 2 or incoming.shape[1] != self.in_features:
             raise ValueError(
-                f"{self.name}: expected incoming shape (N, {in_features}), "
+                f"{self.name}: expected incoming shape (N, {self.in_features}), "
                 f"got {incoming.shape}"
             )
         dispatcher = self.dispatcher
@@ -522,8 +520,8 @@ class SpikingDense(_SpikingNeuronLayer):
         if decision is None:
             # dispatch metric: fraction of input features active anywhere in
             # the batch — the gather path's cost driver, exact for emptiness
-            active = self._ops.active_features(incoming)
-            decision = dispatcher.choose(active.size / in_features)
+            active = self.ops.active_features(incoming)
+            decision = dispatcher.choose(active.size / self.in_features)
             if decision == sparsity.SPARSE:
                 return self._sparse_input(incoming, active)
         if decision == sparsity.EMPTY:
@@ -608,7 +606,6 @@ class SpikingConv2D(_SpikingNeuronLayer):
         self._z2d: Optional[np.ndarray] = None
         self._z4: Optional[np.ndarray] = None
         self._z_empty: Optional[np.ndarray] = None
-        self._canonical = True
 
     @property
     def out_channels(self) -> int:
@@ -648,10 +645,6 @@ class SpikingConv2D(_SpikingNeuronLayer):
             self._scaled_bias = _cast_cached(
                 self._cast_cache, "scaled_bias", self.bias_scale * self.bias, self.dtype
             )
-        # float64 is the exact-match reference precision: it stays on the
-        # canonical im2col pipeline (see repro.utils.sparsity), as do strided
-        # layers the direct plan does not cover
-        self._canonical = self.dtype == np.float64 or not self._direct_available
         empty_shape = (batch_size, out_c, out_h, out_w)
         if self._z_empty is None or self._z_empty.shape != empty_shape or self._z_empty.dtype != self.dtype:
             self._z_empty = ops.zeros(empty_shape, self.dtype)
@@ -743,7 +736,9 @@ class SpikingConv2D(_SpikingNeuronLayer):
         return self._z4
 
     def _dense_input(self, incoming: np.ndarray) -> np.ndarray:
-        if self._canonical:
+        # float64 is the exact-match reference precision: stay on the
+        # canonical im2col pipeline there (see repro.utils.sparsity)
+        if self.dtype == np.float64 or not self._direct_available:
             return self._canonical_input(incoming)
         return self._direct_plan().run(incoming, self._taps, self._scaled_bias)
 
@@ -779,7 +774,7 @@ class SpikingConv2D(_SpikingNeuronLayer):
             # dispatch metric: fraction of input channels carrying any spike —
             # a cheap reduction that doubles as the sparse path's channel list
             # and is exact for empty detection (no active channel ⟺ all zero)
-            active = self._ops.active_channels(incoming)
+            active = self.ops.active_channels(incoming)
             decision = dispatcher.choose(
                 active.size / expected_c, sparse_available=self._direct_available
             )

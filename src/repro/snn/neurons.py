@@ -182,7 +182,7 @@ class IFNeuronState:
 
         spikes = self._spikes
         amplitudes = self._amplitudes
-        count = self.ops.if_step(
+        self.last_spike_count = self.ops.if_step(
             self.v_mem,
             z,
             threshold,
@@ -193,8 +193,7 @@ class IFNeuronState:
             self.v_rest,
             self.allow_negative_membrane,
         )
-        self.last_spike_count = count
-        self.total_spikes += count
+        self.total_spikes += self.last_spike_count
         return spikes, amplitudes
 
     @property

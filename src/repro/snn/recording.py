@@ -89,29 +89,26 @@ class LayerRecord:
         optional precomputed ``np.count_nonzero(spikes)`` (the engine already
         counts spikes for its dispatch hints), skipping a recount here.
         """
-        counts = self._counts
-        if counts is not None:
+        record_train = record_trains and self.sampled_indices is not None and self.sampled_indices.size
+        if self._counts is not None:
             t = self._cursor
-            if t >= counts.shape[0]:
+            if t >= self._counts.shape[0]:
                 raise RuntimeError(
                     f"{self.name}: recorded more steps than the preallocated "
-                    f"{counts.shape[0]}"
+                    f"{self._counts.shape[0]}"
                 )
             if spikes is not None:
-                counts[t] = count if count is not None else np.count_nonzero(spikes)
-                # preallocation sized the trains (None when not recorded)
-                trains = self._trains
-                if record_trains and trains is not None:
+                self._counts[t] = count if count is not None else np.count_nonzero(spikes)
+                if record_train and self._trains is not None:
                     flat = spikes.reshape(spikes.shape[0], -1)
-                    if batch_indices is None or flat.shape[0] == trains.shape[1]:
-                        np.take(flat, self.sampled_indices, axis=1, out=trains[t])
+                    if batch_indices is None or flat.shape[0] == self._trains.shape[1]:
+                        np.take(flat, self.sampled_indices, axis=1, out=self._trains[t])
                     else:
-                        trains[t, batch_indices] = flat[:, self.sampled_indices]
+                        self._trains[t, batch_indices] = flat[:, self.sampled_indices]
             # a None / non-spiking step leaves the preallocated zeros in place
             self._cursor = t + 1
             return
         # growable fallback (standalone LayerRecord use)
-        record_train = record_trains and self.sampled_indices is not None and self.sampled_indices.size
         if spikes is None:
             self._count_list.append(0)
             if record_train:

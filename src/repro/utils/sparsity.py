@@ -177,34 +177,31 @@ class SparsityDispatcher:
         self.name = name
         self.exact_only = bool(exact_only)
         self.crossover = float(crossover)
-        self.env_mode: Optional[str] = None
         self.force = force
+        #: ``REPRO_SPARSE_MODE`` as parsed by the last :meth:`reset`
+        #: (``None`` for unset or ``auto``)
+        self.env_mode: Optional[str] = None
         self.calibrated = False
-        self.reset()
+        #: decisions taken since the last reset (diagnostics / tests)
+        self.decisions: Dict[str, int] = {DENSE: 0, SPARSE: 0, EMPTY: 0}
 
     @property
-    def force(self) -> Optional[str]:
-        return self._force
-
-    @force.setter
-    def force(self, mode: Optional[str]) -> None:
-        if mode is not None and mode not in (DENSE, SPARSE):
-            raise ValueError(
-                f"{self.name}: sparse mode must be 'dense', 'sparse' or None, got {mode!r}"
-            )
-        self._force = mode
-        #: the pinned branch (``force`` wins over the environment's mode),
-        #: resolved here and at reset so :meth:`choose` only reads it
-        self.forced = mode if mode is not None else self.env_mode
+    def forced(self) -> Optional[str]:
+        """The pinned branch: ``force`` wins over the environment's mode."""
+        return self.force or self.env_mode
 
     def reset(self) -> None:
         """Start a simulation: clear the decision counters and parse
         ``REPRO_SPARSE_MODE`` once (``auto`` or unset dispatch automatically).
 
-        Raises :class:`ValueError` on an invalid value, so a typo fails at
-        layer reset rather than on the first step.
+        Raises :class:`ValueError` on an invalid value (or an invalid
+        ``force``), so a typo fails at layer reset rather than on a step.
         """
         self.reset_counters()
+        if self.force not in (None, DENSE, SPARSE):
+            raise ValueError(
+                f"{self.name}: force must be 'dense', 'sparse' or None, got {self.force!r}"
+            )
         mode = (os.environ.get("REPRO_SPARSE_MODE") or "auto").strip().lower()
         if mode not in (DENSE, SPARSE, "auto"):
             raise ValueError(
@@ -212,7 +209,6 @@ class SparsityDispatcher:
                 f"got {mode!r}"
             )
         self.env_mode = None if mode == "auto" else mode
-        self.forced = self._force if self._force is not None else self.env_mode
 
     def calibrate(
         self,
@@ -236,8 +232,7 @@ class SparsityDispatcher:
         return cached
 
     def reset_counters(self) -> None:
-        #: decisions taken since the last reset (diagnostics / tests)
-        self.decisions: Dict[str, int] = {DENSE: 0, SPARSE: 0, EMPTY: 0}
+        self.decisions = {DENSE: 0, SPARSE: 0, EMPTY: 0}
 
     def choose(self, fraction: float, sparse_available: bool = True) -> str:
         """Pick the propagation kernel for one step.

@@ -410,7 +410,9 @@ class TestStepSeamContract:
         layer, x = _neuron_layer("dense", "rate")
         pool = SpikingAvgPool2D(2)
         monkeypatch.setenv("REPRO_SPARSE_MODE", "bogus")
-        for target in (layer, pool):
+        # construction never reads the environment; only reset parses it
+        late_pool = SpikingAvgPool2D(2)
+        for target in (layer, pool, late_pool):
             with pytest.raises(ValueError, match="REPRO_SPARSE_MODE"):
                 target.reset(x.shape[0], dtype="float64")
 

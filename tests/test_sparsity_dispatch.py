@@ -97,6 +97,7 @@ class TestDispatcherPolicy:
         # the environment is parsed once per reset, not on every step
         monkeypatch.setenv("REPRO_SPARSE_MODE", "sparse")
         dispatcher = SparsityDispatcher("layer", crossover=0.01)
+        dispatcher.reset()
         assert dispatcher.choose(0.9) == sparsity.SPARSE
         monkeypatch.setenv("REPRO_SPARSE_MODE", "auto")
         assert dispatcher.choose(0.9) == sparsity.SPARSE
