@@ -19,13 +19,12 @@ Scale knobs: ``REPRO_BENCH_SERVING_REQUESTS`` / ``_BURST`` / ``_REPLICAS``
 ``REPRO_BENCH_SERVING_REQUESTS=8 pytest benchmarks/serving -q`` for a CI
 smoke burst.  Deselect with ``-m "not perf"``.
 
-``REPRO_BENCH_PIN_BLAS=1`` runs the load-test with BLAS pinned to a single
-thread (``OMP_NUM_THREADS=1``, applied to the already-loaded OpenBLAS pool
-via its runtime control as well), so the measured curve isolates replica
-scaling from BLAS threading; the pin state is part of each row's scale key.
+Every served batch runs with OpenBLAS pinned to one thread by the engine
+(``repro.utils.threads``), so the curve measures replica scaling, not BLAS
+threading; the caller's measured BLAS thread count is part of each row's
+scale key.
 """
 
-import ctypes
 import json
 import os
 import subprocess
@@ -39,7 +38,7 @@ from repro.backends import default_backend_name
 from repro.experiments.workloads import build_workload
 from repro.serving.engine import ServingConfig, ServingEngine
 from repro.serving.http import ServingHTTPServer
-from repro.utils.timing import load_bench_json, write_bench_json
+from repro.utils.timing import load_bench_json, machine_info, write_bench_json
 
 pytestmark = pytest.mark.perf
 
@@ -59,65 +58,6 @@ IDENTITY_IMAGES = 6
 #: acceptance floor: 4 replicas vs 1 on a multi-core machine
 MIN_SCALING = 1.5
 SCALING_MIN_CPUS = 4
-#: REPRO_BENCH_PIN_BLAS=1 → load-test with single-threaded BLAS, so the
-#: replica-scaling curve is not confounded by BLAS-internal threading
-PIN_BLAS = os.environ.get("REPRO_BENCH_PIN_BLAS", "").strip().lower() in (
-    "1", "true", "on", "yes"
-)
-
-
-def _loaded_openblas_controls():
-    """(set_num_threads, get_num_threads) of the OpenBLAS numpy loaded,
-    or ``None`` — environment variables alone cannot retune a BLAS pool
-    that initialised before this module ran."""
-    try:
-        maps = Path(f"/proc/{os.getpid()}/maps").read_text()
-    except OSError:
-        return None
-    paths = {
-        line.split()[-1]
-        for line in maps.splitlines()
-        if "openblas" in line.rsplit("/", 1)[-1].lower()
-    }
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas_", "openblas_"):
-            for suffix in ("64_", "_", ""):
-                setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-                if setter is not None and getter is not None:
-                    return setter, getter
-    return None
-
-
-@pytest.fixture(scope="module")
-def blas_pin():
-    """Apply (and on teardown undo) the single-thread BLAS pin when
-    ``REPRO_BENCH_PIN_BLAS=1``; yields whether the pin is in effect."""
-    if not PIN_BLAS:
-        yield False
-        return
-    previous_env = {}
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
-        previous_env[name] = os.environ.get(name)
-        os.environ[name] = "1"
-    controls = _loaded_openblas_controls()
-    previous_threads = None
-    if controls is not None:
-        setter, getter = controls
-        previous_threads = int(getter())
-        setter(1)
-    yield True
-    if controls is not None and previous_threads is not None:
-        controls[0](previous_threads)
-    for name, value in previous_env.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
 
 
 def _git_revision() -> str:
@@ -140,8 +80,9 @@ def _scale() -> dict:
         "burst_size": BURST_SIZE,
         "burst_interval_s": BURST_INTERVAL_S,
         "time_steps": TIME_STEPS,
-        # part of the row key: pinned and unpinned curves are separate rows
-        "pin_blas": PIN_BLAS,
+        # part of the row key: curves measured under different BLAS pools
+        # are separate rows
+        "blas_threads": machine_info()["blas_threads"],
     }
 
 
@@ -186,7 +127,7 @@ def serving_workload():
 
 
 @pytest.fixture(scope="module")
-def load_curve(serving_workload, blas_pin):
+def load_curve(serving_workload):
     """Measure every configured replica count once; shared by the tests."""
     test_images = serving_workload.data.test.x
     pool = [test_images[i % len(test_images)].tolist() for i in range(BURST_SIZE)]
@@ -265,6 +206,7 @@ def test_load_curve_measured_and_recorded(load_curve):
                 "backend": backend,
                 "num_replicas": num_replicas,
                 "cpu_count": os.cpu_count(),
+                "simulation_blas_threads": machine_info()["simulation_blas_threads"],
                 "throughput_rps": summary["throughput_rps"],
                 "latency_ms": summary["latency_ms"],
                 "status_counts": summary["status_counts"],

@@ -25,6 +25,10 @@ from repro.ann.initializers import get_initializer
 from repro.utils.rng import SeedLike, as_rng
 
 
+#: per-batch caches that ``forward(training=True)`` keeps for ``backward``
+_BACKWARD_CACHES = ("_input", "_pre_activation", "_cols", "_argmax", "_mask", "_cache")
+
+
 class Layer:
     """Base class for all layers.
 
@@ -65,6 +69,16 @@ class Layer:
     def num_params(self) -> int:
         """Total number of scalar parameters in the layer."""
         return int(sum(p.size for p in self.params.values()))
+
+    def __getstate__(self) -> Dict[str, object]:
+        # activations cached by ``forward(training=True)`` for ``backward``
+        # are most of a trained model's pickle (tens of MB for the VGG, sent
+        # to every shard worker); an unpickled layer needs a forward first
+        state = self.__dict__.copy()
+        for name in _BACKWARD_CACHES:
+            if name in state:
+                state[name] = None
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -24,6 +24,7 @@ from repro.ann.optimizers import Optimizer, SGD
 from repro.data.dataset import iterate_minibatches
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike
+from repro.utils.threads import single_blas_thread
 
 logger = get_logger("ann.model")
 
@@ -156,6 +157,7 @@ class Sequential:
             grad = layer.backward(grad)
         return grad
 
+    @single_blas_thread()
     def fit(
         self,
         x: np.ndarray,
@@ -170,6 +172,9 @@ class Sequential:
         verbose: bool = False,
     ) -> TrainingHistory:
         """Train with minibatch SGD and return the training history.
+
+        Runs with OpenBLAS pinned to one thread, so trained float64 weights
+        do not depend on the machine's BLAS thread count.
 
         Parameters
         ----------

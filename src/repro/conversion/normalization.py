@@ -26,6 +26,7 @@ import numpy as np
 from repro.ann.layers import BatchNorm, Conv2D, Dense, Layer, ReLU
 from repro.ann.model import Sequential
 from repro.utils.logging import get_logger
+from repro.utils.threads import single_blas_thread
 
 logger = get_logger("conversion.normalization")
 
@@ -156,6 +157,7 @@ def model_based_scales(model: Sequential, eps: float = 1e-9) -> Dict[int, float]
     return scales
 
 
+@single_blas_thread()
 def normalize_weights(
     model: Sequential,
     scales: Optional[Dict[int, float]] = None,
@@ -175,6 +177,9 @@ def normalize_weights(
     method:
         ``"data"`` (max), ``"robust"`` (percentile), ``"model"`` (weight
         bound) or ``"none"`` (copy weights unchanged).
+
+    The calibration forward pass runs with OpenBLAS pinned to one thread,
+    so float64 scales do not depend on the machine's BLAS thread count.
     """
     method = method.lower()
     if method not in ("data", "robust", "model", "none"):

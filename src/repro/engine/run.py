@@ -11,6 +11,18 @@ one step loop in the code base, and it calls each layer's own ``step``.
 In float64 the loop is bit-identical to the original seed engine (golden
 reference ``benchmarks/perf/seed_reference.json``); the float32 default runs
 the measured-activity sparse kernels within the documented tolerance.
+
+Thread safety
+-------------
+:func:`execute` runs one prepared batch and holds no global state; the
+network it steps is single-flight (see :mod:`repro.engine.session`).
+:func:`simulate` pins the loaded OpenBLAS to one thread
+(:func:`repro.utils.threads.single_blas_thread`) around prepare and the step
+loop, so a threaded GEMM never reassociates a float64 sum and small GEMMs
+skip thread hand-offs.  The pin is process-wide while any scope is active
+and the caller's thread count is restored when the last one exits, also on
+an exception.  Parallelism is explicit: sharded evaluation workers
+(:func:`run_sharded`, each running through a session) and serving replicas.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ import numpy as np
 from repro.engine.plan import PreparedBatch, plan_simulation
 from repro.snn.network import SimulationConfig, SimulationResult, SpikingNetwork
 from repro.utils.logging import get_logger
+from repro.utils.threads import single_blas_thread
 
 logger = get_logger("engine.run")
 
@@ -175,7 +188,8 @@ def simulate(
     which reuses the plan across requests.
     """
     plan = plan_simulation(network, config)
-    return execute(plan.prepare(x), labels=labels)
+    with single_blas_thread():
+        return execute(plan.prepare(x), labels=labels)
 
 
 # -- shard orchestration -----------------------------------------------------

@@ -34,6 +34,12 @@ call with :meth:`InferenceSession.replica_pool`, which shares the float64
 weight masters across replicas (per-replica plan/scratch buffers and
 sparsity-calibration cache keys, so replicas never contend on plan state) —
 or use the sharded evaluation path.
+
+Each :meth:`InferenceSession.run` pins the loaded OpenBLAS to one thread
+(:func:`repro.utils.threads.single_blas_thread`) around prepare and the step
+loop.  The pin is process-wide while any run is in flight: BLAS work in other
+threads runs single-threaded meanwhile.  When the last concurrent run
+returns (or raises), the caller's thread count is restored.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from repro.engine.plan import SimulationPlan, plan_simulation
 from repro.engine.run import execute
 from repro.snn.network import SimulationConfig, SimulationResult, SpikingNetwork
 from repro.utils.rng import SeedLike
+from repro.utils.threads import single_blas_thread
 
 #: float64 master arrays shared across replica networks (read-only during
 #: simulation: runs cast them into per-replica buffers, never write them)
@@ -202,9 +209,13 @@ class InferenceSession:
 
         Safe to call from multiple threads: calls serialise on the session's
         internal lock (the prepare/execute pair mutates shared layer state,
-        so overlapping runs would corrupt each other's buffers).
+        so overlapping runs would corrupt each other's buffers).  The pair
+        runs with OpenBLAS pinned to one thread (see "Thread safety" above).
         """
-        with self._run_lock:
+        # the pin covers prepare too: the sparsity-crossover and direct-conv
+        # calibration probes run there and must time the kernels under the
+        # thread count they will run with
+        with self._run_lock, single_blas_thread():
             result = execute(self.plan.prepare(x), labels=labels)
             self.batches_served += 1
             self.images_served += result.batch_size

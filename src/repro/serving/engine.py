@@ -55,6 +55,7 @@ from repro.serving.scheduler import BatcherClosedError, BatchInfo, MicroBatcher
 from repro.snn.network import SimulationConfig
 from repro.utils.config import FrozenConfig, validate_positive
 from repro.utils.logging import get_logger
+from repro.utils.threads import blas_thread_info
 
 logger = get_logger("serving.engine")
 
@@ -410,6 +411,7 @@ class ServingEngine:
         snapshot = self.metrics.snapshot(queue_depth=self.queue_depth())
         snapshot["sessions"] = sessions
         snapshot["rate_limits"] = self.limiter.snapshot()
+        snapshot["runtime"] = blas_thread_info()
         snapshot["config"] = {
             "max_batch_size": self.config.max_batch_size,
             "max_wait_ms": self.config.max_wait_ms,

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from repro.utils.threads import blas_thread_info
+
 
 @dataclass
 class Timer:
@@ -104,7 +106,13 @@ def time_callable(
 
 
 def machine_info() -> Dict[str, Any]:
-    """Fingerprint of the measuring host, stored alongside every benchmark."""
+    """Fingerprint of the measuring host, stored alongside every benchmark.
+
+    ``blas_threads`` is the caller's OpenBLAS pool size and
+    ``simulation_blas_threads`` the count simulations run on (1, pinned by
+    :func:`repro.utils.threads.single_blas_thread`); both are ``None`` when
+    no OpenBLAS thread controls are found.
+    """
     import numpy as np
 
     return {
@@ -112,6 +120,7 @@ def machine_info() -> Dict[str, Any]:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        **blas_thread_info(),
     }
 
 

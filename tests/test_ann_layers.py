@@ -285,3 +285,30 @@ class TestBatchNorm:
             BatchNorm(0)
         with pytest.raises(ValueError):
             BatchNorm(3, momentum=1.5)
+
+
+class TestPickling:
+    @pytest.mark.parametrize(
+        "layer, x, cache",
+        [
+            (Dense(6, 3, seed=0), np.ones((4, 6)), "_input"),
+            (ReLU(), np.ones((4, 6)), "_pre_activation"),
+            (Conv2D(2, 3, 3, seed=0), np.ones((2, 2, 5, 5)), "_cols"),
+            (MaxPool2D(2), np.ones((2, 2, 4, 4)), "_argmax"),
+            (Dropout(0.5, seed=0), np.ones((4, 6)), "_mask"),
+            (BatchNorm(6), np.arange(24.0).reshape(4, 6), "_cache"),
+        ],
+    )
+    def test_backward_caches_are_not_pickled(self, layer, x, cache):
+        """Shard workers receive layers by pickle: the training-time caches
+        stay behind, the parameters and the inference output travel."""
+        import pickle
+
+        layer.forward(x, training=True)
+        assert getattr(layer, cache) is not None
+        clone = pickle.loads(pickle.dumps(layer))
+        assert getattr(clone, cache) is None
+        assert getattr(layer, cache) is not None
+        for name, value in layer.params.items():
+            assert np.array_equal(clone.params[name], value)
+        assert np.array_equal(clone.forward(x), layer.forward(x))

@@ -17,6 +17,7 @@ import pytest
 
 from repro.serving.engine import ServingConfig, ServingEngine
 from repro.serving.http import ServingHTTPServer
+from repro.utils.threads import blas_thread_info
 
 TIME_STEPS = 12
 
@@ -109,6 +110,12 @@ class TestEndpoints:
         assert scheme_stats["num_replicas"] == 1
         assert len(scheme_stats["replica_utilisation"]) == 1
         assert "rate_limited_total" in body["rate_limits"]
+        # the BLAS thread counts in effect: the caller's pool and the
+        # single thread every served simulation is pinned to
+        assert set(body["runtime"]) == {"blas_threads", "simulation_blas_threads"}
+        assert body["runtime"] == blas_thread_info()
+        if body["runtime"]["blas_threads"] is not None:
+            assert body["runtime"]["simulation_blas_threads"] == 1
 
     def test_health_after_traffic_lists_loaded_schemes(self, served):
         server, _, _ = served

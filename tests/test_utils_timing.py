@@ -67,3 +67,9 @@ class TestMachineInfo:
         info = machine_info()
         assert info["numpy"] == np.__version__
         assert info["cpu_count"] >= 1
+        # the caller's BLAS pool and the pinned simulation count; both are
+        # None together when no OpenBLAS thread controls are found
+        assert (info["blas_threads"] is None) == (info["simulation_blas_threads"] is None)
+        if info["blas_threads"] is not None:
+            assert info["blas_threads"] >= 1
+            assert info["simulation_blas_threads"] == 1
