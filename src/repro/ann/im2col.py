@@ -18,11 +18,15 @@ Two entry points are provided:
   :func:`im2col`'s, so results are bit-for-bit the same.
 
 A third form, :class:`DirectConvPlan`, skips the column matrix entirely for
-stride-1 convolutions (one accumulating GEMM per kernel tap over a padded
-NHWC halo buffer, with optional packing to the spike-carrying input
-channels).  It reassociates the reduction, so the SNN engine uses it only on
-its tolerance-based float32 fast path — the float64 exact path stays on
-:class:`Im2colPlan`.
+stride-1 convolutions.  It reads each kernel tap as one flat window of a
+zero-bordered copy of the input, with optional packing to the spike-carrying
+input channels, and picks one of two kernels from the packed width alone:
+inputs of at most four channels gather every tap window into one panel and
+run a single GEMM (per-tap GEMMs of rank 1–3 waste most of their time in
+BLAS overhead), and wider inputs run one accumulating GEMM per tap over a
+channels-last halo buffer.  Both reassociate the reduction, so the SNN
+engine uses the plan only on its tolerance-based float32 fast path — the
+float64 exact path stays on :class:`Im2colPlan`.
 """
 
 from __future__ import annotations
@@ -30,28 +34,22 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.linalg.blas import dgemm as _dgemm, sgemm as _sgemm
 
-try:  # pragma: no cover - exercised indirectly via DirectConvPlan
-    from scipy.linalg.blas import dgemm as _dgemm, sgemm as _sgemm
+#: BLAS GEMMs that can accumulate into their output (``beta=1``), by dtype
+_ACCUMULATING_GEMM = {np.dtype(np.float32): _sgemm, np.dtype(np.float64): _dgemm}
 
-    _ACCUMULATING_GEMM = {np.dtype(np.float32): _sgemm, np.dtype(np.float64): _dgemm}
-except ImportError:  # pragma: no cover - scipy is optional
-    _ACCUMULATING_GEMM = {}
-
-#: per-geometry GEMM engine choice for DirectConvPlan (probed once per
-#: process so identical runs stay bit-identical to each other)
-_DIRECT_ENGINE_CACHE: dict = {}
-
-
-def direct_engine_cache_snapshot() -> dict:
-    """Copy of the engine-choice cache (shipped to shard workers so their
-    direct-conv kernels match the parent's)."""
-    return dict(_DIRECT_ENGINE_CACHE)
-
-
-def install_direct_engine_cache(snapshot: dict) -> None:
-    """Install a parent process's engine-choice cache (worker-side)."""
-    _DIRECT_ENGINE_CACHE.update(snapshot)
+#: Widest packed input, in channels, that :class:`DirectConvPlan` convolves
+#: with its single-GEMM panel kernel; wider inputs take the per-tap
+#: accumulating kernel.  Kernel times, accumulate vs panel (float32, 3×3
+#: kernel, padding 1, 16 images, one BLAS thread, median of 5 processes'
+#: best of 40, 2-CPU Xeon with OpenBLAS 0.3.31): 1→8 channels at 28×28 (the
+#: MNIST CNN's ``conv_0``) 1363 vs 135 µs; 3→8 at 32×32 (the VGG's
+#: ``conv_0``) 1684 vs 445 µs; 4→16 at 16×16 186 vs 156 µs; 8→16 at 14×14
+#: (MNIST ``conv_1``) 212 vs 222 µs.  The panel copies the input ``K·K``
+#: times, which outgrows the per-tap GEMM overhead it saves between 4 and 8
+#: channels.
+_PANEL_MAX_CHANNELS = 4
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -225,35 +223,46 @@ class Im2colPlan:
 
 
 class DirectConvPlan:
-    """Stride-1 direct-convolution plan over a padded NHWC halo buffer.
+    """Stride-1 direct-convolution plan over a zero-bordered input scratch.
 
     The im2col form materialises a ``(N·out_h·out_w, C·K·K)`` column matrix
     every step — ``K·K`` times the input's size in writes alone, which is what
-    dominates the spiking-conv step at bench scale.  This plan instead keeps
-    the padded input in channels-last layout and runs one *accumulating GEMM
-    per kernel tap* over a contiguous flat window of the halo buffer:
+    dominates the spiking-conv step at bench scale.  This plan instead reads
+    kernel tap ``(ky, kx)`` of a padded ``PH × PW`` image as the contiguous
+    flat window starting ``ky·PW + kx`` elements in: window row
+    ``r = y·PW + x`` is aligned with output position ``(y, x)``
+    *independently of the tap*.  One window spans the whole batch
+    (``batch_rows = (N−1)·PH·PW + window_rows`` rows, with
+    ``window_rows = (out_h−1)·PW + out_w``); rows that fall in a halo margin
+    or between images receive garbage and are never read.
 
-    for tap ``(ky, kx)`` the flat element range starting at
-    ``(ky·PW + kx)·C`` of a padded image, viewed as ``(L, C)`` rows with
-    ``L = (out_h−1)·PW + out_w``, has row ``r = y·PW + x`` aligned with output
-    position ``(y, x)`` *independently of the tap* — so all ``K·K`` GEMMs
-    accumulate into one ``(N, out_h·PW, out_c)`` buffer whose rows with
-    ``x < out_w`` are the convolution result (rows in the halo margin receive
-    garbage and are never read).  Total traffic is one input transpose plus
-    ``K·K`` reads of the (cache-resident) halo, ~3× cheaper than the column
-    fill at VGG geometries.
+    The packed input width alone picks the kernel, so every float32 result
+    is a pure function of the geometry and that width:
 
-    The per-tap accumulation reassociates the reduction relative to the
-    canonical ``(c, ky, kx)`` im2col ordering, so results match
-    :class:`Im2colPlan` + GEMM only to rounding; the simulation engine
-    therefore uses this plan on its tolerance-based (float32) path and keeps
-    the canonical plan for the float64 exact-match path (see
-    :mod:`repro.utils.sparsity`).
+    * **panel** (at most ``_PANEL_MAX_CHANNELS`` = 4 channels): the input is
+      copied into a channels-first ``(C', N, PH, PW)`` scratch; panel row
+      ``(tap, c)`` is the slice of channel ``c``'s flat strip at the tap's
+      offset, and one GEMM, ``panel.T @ taps.reshape(K·K·C', out_c)``, yields
+      every output row.  Per-tap GEMMs over one to three channels are rank-1
+      to rank-3 updates that BLAS runs far below peak; the one deep GEMM is
+      4–10× faster at those widths (measurements at the constant);
+    * **accumulate** (wider inputs): the input is copied into a channels-last
+      ``(N, PH, PW, C')`` halo buffer, so a tap window is a ``(rows, C')``
+      matrix, and one ``gemm(beta=1)`` per tap accumulates into the output in
+      place — one input transpose plus ``K·K`` reads of the cache-resident
+      halo, where the panel would copy the input ``K·K`` times.
+
+    Both kernels reassociate the reduction relative to the canonical
+    ``(c, ky, kx)`` im2col ordering, so results match :class:`Im2colPlan` +
+    GEMM only to rounding; the simulation engine therefore uses this plan on
+    its tolerance-based (float32) path and keeps the canonical plan for the
+    float64 exact-match path (see :mod:`repro.utils.sparsity`).
 
     Channel packing (the sparse-column path): ``run(..., active_channels=)``
-    lifts only the spike-carrying input channels into a narrower halo buffer
-    and multiplies the matching rows of each tap matrix, skipping the silent
-    channels entirely.
+    lifts only the spike-carrying input channels and multiplies the matching
+    rows of each tap matrix.  Each kernel allocates its scratch on first use,
+    sized for the widest input it takes, and carves narrower packed widths
+    from the front of it.
     """
 
     def __init__(
@@ -282,52 +291,21 @@ class DirectConvPlan:
         self.padded_w = width + 2 * padding
 
         n = batch_size
-        #: flat halo scratch, reinterpreted as (N, PH, PW, C') per channel count
-        self._halo_flat = np.zeros(n * self.padded_h * self.padded_w * channels, dtype=self.dtype)
-        self._halo_channels: Optional[int] = None
-        self._halo: Optional[np.ndarray] = None
-        self._interior: Optional[np.ndarray] = None
-
         #: window row count: output row r = y·PW + x for y < out_h, x < out_w
         self.window_rows = (self.out_h - 1) * self.padded_w + self.out_w
-        self._zbuf = np.empty((n, self.out_h * self.padded_w, self.out_channels), dtype=self.dtype)
-        self._tap_z = np.empty((n, self.window_rows, self.out_channels), dtype=self.dtype)
-        # (N, out_c, out_h, out_w) view of the valid zbuf rows, built once
-        self._z_view = self._zbuf.reshape(
-            n, self.out_h, self.padded_w, self.out_channels
-        )[:, :, : self.out_w, :].transpose(0, 3, 1, 2)
-        # BLAS-accumulating variant (scipy): one flat window per tap across
-        # the whole batch (inter-image halo rows are garbage, never read) and
-        # gemm(beta=1) accumulates in place — no per-tap add pass.  The output
-        # buffer must span the full halo so window and output rows align.
-        self._engine: Optional[str] = None
-        self._gemm = _ACCUMULATING_GEMM.get(self.dtype)
-        if self._gemm is not None:
-            self._zfull = np.empty((n * self.padded_h * self.padded_w, self.out_channels), dtype=self.dtype)
-            self._zfull_view = self._zfull.reshape(
-                n, self.padded_h, self.padded_w, self.out_channels
-            )[:, : self.out_h, : self.out_w, :].transpose(0, 3, 1, 2)
-
-    @property
-    def z_view(self) -> np.ndarray:
-        """The (N, out_c, out_h, out_w) output view over the plan's buffer."""
-        return self._z_view
-
-    def _halo_view(self, channels: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(halo, interior) views for ``channels`` packed channels, zeroing the
-        halo margin whenever the packed width changes."""
-        if self._halo_channels == channels and self._halo is not None:
-            return self._halo, self._interior
-        n, _, h, w = self.input_shape
-        size = n * self.padded_h * self.padded_w * channels
-        halo = self._halo_flat[:size].reshape(n, self.padded_h, self.padded_w, channels)
-        halo.fill(0.0)
-        pad = self.padding
-        interior = halo[:, pad : pad + h, pad : pad + w, :] if pad else halo
-        self._halo_channels = channels
-        self._halo = halo
-        self._interior = interior
-        return halo, interior
+        self.batch_rows = (n - 1) * self.padded_h * self.padded_w + self.window_rows
+        self._gemm = _ACCUMULATING_GEMM[self.dtype]
+        # the output spans the full halo so window and output rows align
+        self._zfull = np.empty((n * self.padded_h * self.padded_w, self.out_channels), dtype=self.dtype)
+        self._zfull_view = self._zfull.reshape(
+            n, self.padded_h, self.padded_w, self.out_channels
+        )[:, : self.out_h, : self.out_w, :].transpose(0, 3, 1, 2)
+        # per-kernel flat scratch (allocated on first use) and the views
+        # carved from it for the last packed width, keyed by that width
+        self._panel_scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._panel_views: Optional[tuple] = None
+        self._halo_flat: Optional[np.ndarray] = None
+        self._halo_views: Optional[tuple] = None
 
     def run(
         self,
@@ -361,14 +339,87 @@ class DirectConvPlan:
             raise ValueError(
                 f"direct conv plan built for input shape {self.input_shape}, got {x.shape}"
             )
-        n, c, h, w = self.input_shape
+        c = self.input_shape[1]
         packed = c if active_channels is None else int(len(active_channels))
         if taps.shape != (self.kernel * self.kernel, packed, self.out_channels):
             raise ValueError(
                 f"taps shape {taps.shape} does not match "
                 f"({self.kernel * self.kernel}, {packed}, {self.out_channels})"
             )
-        halo, interior = self._halo_view(packed)
+        z_rows = self._zfull[: self.batch_rows]
+        if packed <= _PANEL_MAX_CHANNELS:
+            self._run_panel(x, taps, active_channels, packed, z_rows)
+        else:
+            self._run_accumulate(x, taps, active_channels, packed, z_rows)
+        if bias is not None:
+            z_rows += bias
+        return self._zfull_view
+
+    def _run_panel(
+        self,
+        x: np.ndarray,
+        taps: np.ndarray,
+        active_channels: Optional[np.ndarray],
+        packed: int,
+        z_rows: np.ndarray,
+    ) -> None:
+        """Copy every tap window into one ``(K·K·C', rows)`` panel and run a
+        single GEMM over it."""
+        if self._panel_views is None or self._panel_views[0] != packed:
+            self._panel_views = self._carve_panel(packed)
+        _, interior, windows, panel = self._panel_views
+        if active_channels is None:
+            interior[...] = x.transpose(1, 0, 2, 3)
+        else:
+            for packed_index, channel in enumerate(active_channels):
+                interior[packed_index] = x[:, channel]
+        np.copyto(panel, windows)
+        np.matmul(
+            panel.reshape(-1, self.batch_rows).T,
+            taps.reshape(-1, self.out_channels),
+            out=z_rows,
+        )
+
+    def _carve_panel(self, packed: int) -> tuple:
+        """(packed, interior, windows, panel) views for ``packed`` channels;
+        zeroes the strips' border (the interior is rewritten every run)."""
+        n, c, h, w = self.input_shape
+        k, rows, pad = self.kernel, self.batch_rows, self.padding
+        strip = n * self.padded_h * self.padded_w
+        if self._panel_scratch is None:
+            widest = min(c, _PANEL_MAX_CHANNELS)
+            self._panel_scratch = (
+                np.empty(widest * strip, dtype=self.dtype),
+                np.empty(k * k * widest * rows, dtype=self.dtype),
+            )
+        strips_flat, panel_flat = self._panel_scratch
+        strips = strips_flat[: packed * strip]
+        strips.fill(0.0)
+        padded = strips.reshape(packed, n, self.padded_h, self.padded_w)
+        item = strips.itemsize
+        # (ky, kx, c, rows) view of every tap window over the strips
+        windows = np.lib.stride_tricks.as_strided(
+            strips,
+            shape=(k, k, packed, rows),
+            strides=(self.padded_w * item, item, strip * item, item),
+            writeable=False,
+        )
+        panel = panel_flat[: k * k * packed * rows].reshape(k, k, packed, rows)
+        return packed, padded[:, :, pad : pad + h, pad : pad + w], windows, panel
+
+    def _run_accumulate(
+        self,
+        x: np.ndarray,
+        taps: np.ndarray,
+        active_channels: Optional[np.ndarray],
+        packed: int,
+        z_rows: np.ndarray,
+    ) -> None:
+        """One flat window per tap spanning the whole batch; ``gemm(beta=1)``
+        accumulates into the (transposed view of the) output in place."""
+        if self._halo_views is None or self._halo_views[0] != packed:
+            self._halo_views = self._carve_halo(packed)
+        _, flat, interior = self._halo_views
         if active_channels is None:
             # transpose builds the NHWC view directly (moveaxis pays an extra
             # normalisation pass on this hot path)
@@ -376,71 +427,12 @@ class DirectConvPlan:
         else:
             for packed_index, channel in enumerate(active_channels):
                 interior[..., packed_index] = x[:, channel]
-
-        if self._select_engine() == "accumulate":
-            return self._run_accumulate(halo, taps, bias, packed)
-        return self._run_stacked(halo, taps, bias, packed)
-
-    def _select_engine(self) -> str:
-        """Pick the per-geometry GEMM engine (timed once, cached process-wide).
-
-        The two engines differ only in rounding (both accumulate taps in the
-        same order), and the choice is cached per geometry+dtype — probed at
-        the full channel width on a throwaway halo — so repeated runs in one
-        process stay bit-identical to each other.  Sparse-packed calls reuse
-        the full-width verdict (the engines scale together in the packed
-        width).
-        """
-        if self._engine is not None:
-            return self._engine
-        key = (self.input_shape, self.kernel, self.padding, self.out_channels, str(self.dtype))
-        cached = _DIRECT_ENGINE_CACHE.get(key)
-        if cached is None:
-            if self._gemm is None:
-                cached = "stacked"
-            else:
-                import time as _time
-
-                n, c, _, _ = self.input_shape
-                probe_halo = np.zeros(
-                    (n, self.padded_h, self.padded_w, c), dtype=self.dtype
-                )
-                probe_taps = np.zeros(
-                    (self.kernel * self.kernel, c, self.out_channels), dtype=self.dtype
-                )
-
-                def _once(fn) -> float:
-                    fn()  # warm
-                    best = float("inf")
-                    for _ in range(2):
-                        start = _time.perf_counter()
-                        fn()
-                        best = min(best, _time.perf_counter() - start)
-                    return best
-
-                t_acc = _once(lambda: self._run_accumulate(probe_halo, probe_taps, None, c))
-                t_stack = _once(lambda: self._run_stacked(probe_halo, probe_taps, None, c))
-                cached = "accumulate" if t_acc < t_stack else "stacked"
-            _DIRECT_ENGINE_CACHE[key] = cached
-        self._engine = cached
-        return cached
-
-    def _run_accumulate(
-        self, halo: np.ndarray, taps: np.ndarray, bias: Optional[np.ndarray], packed: int
-    ) -> np.ndarray:
-        """One flat window per tap spanning the whole batch; ``gemm(beta=1)``
-        accumulates into the (transposed view of the) output in place."""
-        n = self.input_shape[0]
-        total_rows = (n - 1) * self.padded_h * self.padded_w + self.window_rows
-        flat_all = halo.reshape(-1)
-        z_rows = self._zfull[:total_rows]
+        rows = self.batch_rows
         z_t = z_rows.T
         for tap_index in range(self.kernel * self.kernel):
             ky, kx = divmod(tap_index, self.kernel)
             offset = (ky * self.padded_w + kx) * packed
-            window = flat_all[offset : offset + total_rows * packed].reshape(
-                total_rows, packed
-            )
+            window = flat[offset : offset + rows * packed].reshape(rows, packed)
             self._gemm(
                 1.0,
                 taps[tap_index].T,
@@ -449,33 +441,19 @@ class DirectConvPlan:
                 c=z_t,
                 overwrite_c=1,
             )
-        if bias is not None:
-            z_rows += bias
-        return self._zfull_view
 
-    def _run_stacked(
-        self, halo: np.ndarray, taps: np.ndarray, bias: Optional[np.ndarray], packed: int
-    ) -> np.ndarray:
-        """Per-image stacked matmul per tap, accumulated via an add pass."""
-        n = self.input_shape[0]
-        flat = halo.reshape(n, self.padded_h * self.padded_w * packed)
-        rows = self.window_rows
-        zbuf = self._zbuf[:, :rows]
-        tap_z = self._tap_z
-        tap_index = 0
-        for ky in range(self.kernel):
-            for kx in range(self.kernel):
-                offset = (ky * self.padded_w + kx) * packed
-                window = flat[:, offset : offset + rows * packed].reshape(n, rows, packed)
-                if tap_index == 0:
-                    np.matmul(window, taps[tap_index], out=zbuf)
-                else:
-                    np.matmul(window, taps[tap_index], out=tap_z)
-                    zbuf += tap_z
-                tap_index += 1
-        if bias is not None:
-            zbuf += bias
-        return self._z_view
+    def _carve_halo(self, packed: int) -> tuple:
+        """(packed, flat halo, interior) views for ``packed`` channels; zeroes
+        the halo margin (the interior is rewritten every run)."""
+        n, c, h, w = self.input_shape
+        pixels = n * self.padded_h * self.padded_w
+        if self._halo_flat is None:
+            self._halo_flat = np.empty(pixels * c, dtype=self.dtype)
+        flat = self._halo_flat[: pixels * packed]
+        flat.fill(0.0)
+        halo = flat.reshape(n, self.padded_h, self.padded_w, packed)
+        pad = self.padding
+        return packed, flat, halo[:, pad : pad + h, pad : pad + w, :]
 
 
 def col2im(

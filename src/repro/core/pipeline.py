@@ -25,14 +25,14 @@ Sharded evaluation
 ``PipelineConfig(num_workers=N)`` splits the test set into contiguous shards
 of whole batches and simulates them in worker processes, merging the
 per-shard statistics deterministically: shards are reduced in order, each
-shard runs the exact sequential code path, and the parent's kernel
-calibrations (timing-probed crossovers and conv-engine choices) are fixed
-before the fan-out and shipped to every worker, so the workers dispatch to
-the same kernels a sequential run would.  In float64 the merged
-:class:`AggregatedRun` is bit-identical to a sequential run by construction;
-in float32 it is bit-identical whenever the calibration state covers every
-shard's geometry (always, for uniform batches) and within the engine's
-documented float32 tolerance otherwise.  On single-CPU machines the pipeline
+shard runs the exact sequential code path, and the parent's timing-probed
+sparse/dense crossovers are fixed before the fan-out and shipped to every
+worker, so the workers dispatch to the same kernels a sequential run would
+(the direct-conv kernels need no shipping: the packed input width alone
+picks them).  In float64 the merged :class:`AggregatedRun` is bit-identical
+to a sequential run by construction; in float32 it is bit-identical whenever
+the calibration state covers every shard's geometry (always, for uniform
+batches) and within the engine's documented float32 tolerance otherwise.  On single-CPU machines the pipeline
 logs a note and falls back to in-process execution instead of spawning
 workers that would only add overhead (``REPRO_FORCE_SHARDING=1`` overrides
 the guard, for tests).
@@ -518,9 +518,9 @@ class SNNInferencePipeline:
     ) -> List[_ShardResult]:
         """Fan the shards out via the engine's orchestration layer.
 
-        :func:`repro.engine.run.run_sharded` snapshots the parent's kernel
-        calibrations and installs them in every worker, so the merged result
-        is deterministic and identical to the sequential run.
+        :func:`repro.engine.run.run_sharded` snapshots the parent's
+        sparse/dense crossovers and installs them in every worker, so the
+        merged result is deterministic and identical to the sequential run.
         """
         ranges = self._shard_ranges(num_images, workers)
         logger.info(

@@ -229,17 +229,14 @@ def _sharded_entry(
     worker: Callable[[int, int], T],
     start: int,
     stop: int,
-    calibration_caches: Optional[Tuple[dict, dict]],
+    calibration_cache: dict,
 ) -> T:
-    """Worker-process entry point: install the parent's kernel calibrations
-    (sparse/dense crossovers and direct-conv engine choices) so every worker
-    dispatches to the same kernels the parent would, then run the shard."""
-    if calibration_caches is not None:
-        from repro.ann.im2col import install_direct_engine_cache
-        from repro.utils.sparsity import install_calibration_cache
+    """Worker-process entry point: install the parent's sparse/dense
+    crossovers so every worker dispatches to the same kernels the parent
+    would, then run the shard."""
+    from repro.utils.sparsity import install_calibration_cache
 
-        install_calibration_cache(calibration_caches[0])
-        install_direct_engine_cache(calibration_caches[1])
+    install_calibration_cache(calibration_cache)
     return worker(start, stop)
 
 
@@ -252,14 +249,15 @@ def run_sharded(
 
     ``worker`` must be picklable (e.g. a bound method of a picklable object,
     or a :func:`functools.partial` over one) and is called as
-    ``worker(start, stop)`` inside each process.  The parent's process-wide
-    kernel calibrations are snapshotted here and shipped to every worker, so
-    results merge deterministically regardless of per-worker timing probes.
+    ``worker(start, stop)`` inside each process.  The parent's timing-probed
+    sparse/dense crossovers are snapshotted here and shipped to every worker,
+    so results merge deterministically regardless of per-worker timing
+    probes.  The direct-conv kernels need no shipping: the packed input
+    width alone picks them, identically in every process.
     """
     import concurrent.futures
     import multiprocessing
 
-    from repro.ann.im2col import direct_engine_cache_snapshot
     from repro.utils.sparsity import calibration_cache_snapshot
 
     # the platform-default start method is deliberate: forcing fork on
@@ -267,12 +265,12 @@ def run_sharded(
     # run BLAS work; the calibration snapshot keeps spawned workers' kernel
     # choices identical to the parent's either way
     context = multiprocessing.get_context()
-    caches = (calibration_cache_snapshot(), direct_engine_cache_snapshot())
+    cache = calibration_cache_snapshot()
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, mp_context=context
     ) as pool:
         futures = [
-            pool.submit(_sharded_entry, worker, start, stop, caches)
+            pool.submit(_sharded_entry, worker, start, stop, cache)
             for start, stop in ranges
         ]
         return [future.result() for future in futures]

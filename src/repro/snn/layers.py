@@ -32,9 +32,9 @@ of the sparse paths):
   :mod:`repro.utils.dtypes`); per-step bias injection uses a precomputed
   ``bias_scale·b`` vector;
 * whatever does not change within a run is settled at ``reset``, not per
-  step: the ``REPRO_SPARSE_MODE`` parse (by the dispatcher), threshold
-  positivity (by the threshold dynamics) and the direct-conv GEMM engine
-  (chosen while calibrating the dispatcher);
+  step: the ``REPRO_SPARSE_MODE`` parse (by the dispatcher) and threshold
+  positivity (by the threshold dynamics); the direct-conv kernel needs no
+  settling, since the packed input width alone picks it;
 * every synaptic layer dispatches each step through a per-layer
   :class:`~repro.utils.sparsity.SparsityDispatcher`: an all-zero incoming
   tensor short-circuits to a precomputed bias response (exact in every
@@ -540,9 +540,11 @@ class SpikingConv2D(_SpikingNeuronLayer):
 
     * **canonical** — cached :class:`~repro.ann.im2col.Im2colPlan` fill + one
       GEMM, bit-identical to the seed engine (the float64 exact path);
-    * **direct** — a stride-1 :class:`~repro.ann.im2col.DirectConvPlan` (one
-      accumulating GEMM per kernel tap over a padded halo buffer) that skips
-      the column materialisation; the float32 dense path;
+    * **direct** — a stride-1 :class:`~repro.ann.im2col.DirectConvPlan` that
+      skips the column materialisation; the float32 dense path.  Inputs of
+      at most four channels run one GEMM over a panel of every tap window
+      (the per-tap GEMMs would be rank 1–3 and BLAS-overhead bound), wider
+      ones one accumulating GEMM per kernel tap over a padded halo buffer;
     * **sparse** — the direct plan packed down to the input channels that
       carry at least one spike this step (the sparse-column path), entered
       when the measured activity falls below the layer's auto-calibrated
@@ -720,10 +722,6 @@ class SpikingConv2D(_SpikingNeuronLayer):
             lambda x: self._sparse_input(x, self.ops.active_channels(x)),
             make_input,
         )
-        # probe the direct plan's GEMM engine now (rather than lazily on the
-        # first step), so resetting a network in the parent process fully
-        # warms the process-wide caches shard workers inherit
-        self._direct_plan()._select_engine()
 
     def _canonical_input(self, incoming: np.ndarray) -> np.ndarray:
         plan = self._canonical_plan()
