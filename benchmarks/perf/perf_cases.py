@@ -36,6 +36,7 @@ from repro.snn.encoding import PhaseEncoder
 from repro.snn.neurons import IFNeuronState
 from repro.snn.thresholds import BurstThreshold
 from repro.utils.dtypes import simulation_dtype
+from repro.utils.threads import single_blas_thread
 from repro.utils.timing import Timer, TimingResult, load_bench_json, time_callable
 
 HERE = Path(__file__).resolve().parent
@@ -75,8 +76,14 @@ def _steady_state(layer, x: np.ndarray, batch: int) -> None:
     layer.step(x, 0)  # builds any lazy buffers
 
 
+@single_blas_thread()
 def component_timings(repeats: int = 5) -> Dict[str, TimingResult]:
-    """Time the engine's inner loops on fixed geometries (current dtype policy)."""
+    """Time the engine's inner loops on fixed geometries (current dtype policy).
+
+    The layer steps are called directly, outside the engine's run, so this
+    takes the engine's one-thread BLAS pin itself: unpinned, small GEMMs
+    stall on OpenBLAS's thread hand-offs and the timings swing by 200×.
+    """
     rng = np.random.default_rng(0)
     batch = 8
     dtype = simulation_dtype()

@@ -6,27 +6,39 @@ The same unfolding is reused by the pooling layers and by the spiking
 convolution layer in :mod:`repro.snn.layers`, which keeps the ANN forward pass
 and the SNN per-time-step pass numerically identical for the same weights.
 
-Two entry points are provided:
+The ANN layers train on these forms:
 
-* :func:`im2col` — the one-shot form used by the ANN forward/backward passes
-  (geometry recomputed and a fresh column matrix allocated per call);
-* :class:`Im2colPlan` — the cached form used by the SNN engine, which unfolds
-  the *same* geometry hundreds of times (once per simulation step).  The plan
-  precomputes the output geometry and the strided-window view once, owns a
-  reusable padded input buffer and column buffer, and each :meth:`fill` is a
-  single strided copy with no allocations.  The column layout is identical to
-  :func:`im2col`'s, so results are bit-for-bit the same.
+* :func:`unfold` — the tap-major column panel ``(C·K·K, N·out_h·out_w)``.
+  It is filled one kernel tap at a time, and each tap is one
+  ``(C, N, out_h, out_w)`` slab copy whose rows are contiguous.  Its
+  transpose is the ``(N·out_h·out_w, C·K·K)`` column matrix, element for
+  element; ``Conv2D`` multiplies that transposed view directly;
+* :func:`im2col` — the same columns as a row-major copy, for the pooling
+  layers' generic paths;
+* :func:`col2im` — the adjoint fold.  It adds the taps in ``(ky, kx)``
+  order into a zeroed channels-last buffer, a few images at a time so the
+  block stays in cache, and hands back an NCHW-ordered array;
+* :func:`avgpool2x2` — 2×2 / stride-2 average pooling over strided slabs,
+  shared by ``AvgPool2D`` and the numpy backend's spiking pool.
 
-A third form, :class:`DirectConvPlan`, skips the column matrix entirely for
-stride-1 convolutions.  It reads each kernel tap as one flat window of a
-zero-bordered copy of the input, with optional packing to the spike-carrying
-input channels, and picks one of two kernels from the packed width alone:
-inputs of at most four channels gather every tap window into one panel and
-run a single GEMM (per-tap GEMMs of rank 1–3 waste most of their time in
-BLAS overhead), and wider inputs run one accumulating GEMM per tap over a
-channels-last halo buffer.  Both reassociate the reduction, so the SNN
-engine uses the plan only on its tolerance-based float32 fast path — the
-float64 exact path stays on :class:`Im2colPlan`.
+The SNN engine uses cached plans, because it unfolds the *same* geometry
+hundreds of times (once per simulation step):
+
+* :class:`Im2colPlan` precomputes the output geometry and the strided-window
+  view once, owns a reusable padded input buffer and column buffer, and each
+  :meth:`~Im2colPlan.fill` is a strided copy with no allocations.  The column
+  layout is :func:`im2col`'s, so results are bit-for-bit the same.
+* :class:`DirectConvPlan` skips the column matrix entirely for stride-1
+  convolutions.  It reads each kernel tap as one flat window of a
+  zero-bordered copy of the input, with optional packing to the
+  spike-carrying input channels, and picks one of two kernels from the
+  packed width alone: inputs of at most four channels gather every tap
+  window into one panel and run a single GEMM (per-tap GEMMs of rank 1–3
+  waste most of their time in BLAS overhead), and wider inputs run one
+  accumulating GEMM per tap over a channels-last halo buffer.  Both
+  reassociate the reduction, so the SNN engine uses the plan only on its
+  tolerance-based float32 fast path — the float64 exact path stays on
+  :class:`Im2colPlan`.
 """
 
 from __future__ import annotations
@@ -51,6 +63,12 @@ _ACCUMULATING_GEMM = {np.dtype(np.float32): _sgemm, np.dtype(np.float64): _dgemm
 #: channels.
 _PANEL_MAX_CHANNELS = 4
 
+#: Bytes of columns :func:`col2im` folds per block of images.  Folding the
+#: seven VGG conv shapes' columns at batch 32 (float64, best of 5, three
+#: rounds, 2-CPU Xeon): one image per block 20–26 ms, 512 kB blocks
+#: 17–20 ms, 1 MB 16–18 ms, 2 MB 20–22 ms, the whole batch at once 27–29 ms.
+_FOLD_BLOCK_BYTES = 1 << 20
+
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution along one dimension."""
@@ -63,6 +81,45 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def unfold(
+    x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
+) -> Tuple[np.ndarray, int, int]:
+    """Unfold ``x`` of shape (N, C, H, W) into a tap-major column panel.
+
+    Returns
+    -------
+    panel:
+        C-contiguous array of shape ``(C * kernel_h * kernel_w,
+        N * out_h * out_w)``; row ``(c, ky, kx)`` holds tap ``(ky, kx)`` of
+        channel ``c`` at every output position.  ``panel.T`` equals
+        :func:`im2col`'s columns element for element.
+    out_h, out_w:
+        Spatial output dimensions.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 4:
+        raise ValueError(f"unfold expects (N, C, H, W), got shape {x.shape}")
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel_h, stride, padding)
+    out_w = conv_output_size(w, kernel_w, stride, padding)
+
+    if padding > 0:
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+        x = padded
+
+    panel = np.empty((c, kernel_h, kernel_w, n, out_h, out_w), dtype=np.float64)
+    for ky in range(kernel_h):
+        y_max = ky + stride * out_h
+        for kx in range(kernel_w):
+            x_max = kx + stride * out_w
+            np.copyto(
+                panel[:, ky, kx],
+                x[:, :, ky:y_max:stride, kx:x_max:stride].transpose(1, 0, 2, 3),
+            )
+    return panel.reshape(c * kernel_h * kernel_w, n * out_h * out_w), out_h, out_w
+
+
 def im2col(
     x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
@@ -71,30 +128,33 @@ def im2col(
     Returns
     -------
     cols:
-        Array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
+        C-contiguous array of shape ``(N * out_h * out_w, C * kernel_h *
+        kernel_w)``: the transpose of :func:`unfold`'s panel.
     out_h, out_w:
         Spatial output dimensions.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ValueError(f"im2col expects (N, C, H, W), got shape {x.shape}")
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel_h, stride, padding)
-    out_w = conv_output_size(w, kernel_w, stride, padding)
+    panel, out_h, out_w = unfold(x, kernel_h, kernel_w, stride, padding)
+    return np.ascontiguousarray(panel.T), out_h, out_w
 
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
 
-    # Strided sliding-window view: (N, C, out_h, out_w, kernel_h, kernel_w)
-    stride_n, stride_c, stride_h, stride_w = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel_h, kernel_w),
-        strides=(stride_n, stride_c, stride_h * stride, stride_w * stride, stride_h, stride_w),
-        writeable=False,
+def avgpool2x2(incoming: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """2×2 / stride-2 average pooling of ``incoming`` (N, C, H, W) into
+    ``out`` (N, C, H // 2, W // 2), returned.
+
+    Adds the window columns in the order (0,0), (0,1), (1,0), (1,1), then
+    divides once: the sequential order ``cols.mean(axis=1)`` takes over
+    :func:`im2col`'s four-wide columns, so the results are the same bits.
+    """
+    oh, ow = out.shape[2], out.shape[3]
+    np.add(
+        incoming[:, :, 0 : oh * 2 : 2, 0 : ow * 2 : 2],
+        incoming[:, :, 0 : oh * 2 : 2, 1 : ow * 2 : 2],
+        out=out,
     )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel_h * kernel_w)
-    return np.ascontiguousarray(cols), out_h, out_w
+    out += incoming[:, :, 1 : oh * 2 : 2, 0 : ow * 2 : 2]
+    out += incoming[:, :, 1 : oh * 2 : 2, 1 : ow * 2 : 2]
+    out /= 4
+    return out
 
 
 class Im2colPlan:
@@ -467,21 +527,29 @@ def col2im(
     """Fold columns back to an image batch, accumulating overlapping regions.
 
     This is the adjoint of :func:`im2col` and is used by the convolution and
-    pooling backward passes.
+    max-pooling backward passes.  ``cols`` has :func:`im2col`'s shape
+    ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
+
+    Every input pixel starts at zero and receives its taps in ``(ky, kx)``
+    order, so the sums are the same bits whatever the blocking.  The taps
+    are added into a channels-last buffer, where a tap slab's
+    ``(out_w, C)`` rows are contiguous, ``_FOLD_BLOCK_BYTES`` of columns at
+    a time; the result is a fresh C-contiguous NCHW array.
     """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
-    padded_h = h + 2 * padding
-    padded_w = w + 2 * padding
-
-    cols_reshaped = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(0, 3, 4, 5, 1, 2)
-    x_padded = np.zeros((n, c, padded_h, padded_w), dtype=np.float64)
-    for ky in range(kernel_h):
-        y_max = ky + stride * out_h
-        for kx in range(kernel_w):
-            x_max = kx + stride * out_w
-            x_padded[:, :, ky:y_max:stride, kx:x_max:stride] += cols_reshaped[:, :, ky, kx, :, :]
-    if padding > 0:
-        return x_padded[:, :, padding:-padding, padding:-padding]
-    return x_padded
+    taps = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=np.float64)
+    block = max(1, _FOLD_BLOCK_BYTES // (8 * out_h * out_w * c * kernel_h * kernel_w))
+    for start in range(0, n, block):
+        dst = padded[start : start + block]
+        src = taps[start : start + block]
+        for ky in range(kernel_h):
+            y_max = ky + stride * out_h
+            for kx in range(kernel_w):
+                x_max = kx + stride * out_w
+                dst[:, ky:y_max:stride, kx:x_max:stride, :] += src[:, :, :, :, ky, kx]
+    out = np.empty((n, c, h, w), dtype=np.float64)
+    np.copyto(out, padded[:, padding : padding + h, padding : padding + w, :].transpose(0, 3, 1, 2))
+    return out

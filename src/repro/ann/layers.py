@@ -20,13 +20,24 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.ann.activations import relu, relu_grad
-from repro.ann.im2col import col2im, conv_output_size, im2col
+from repro.ann.im2col import avgpool2x2, col2im, conv_output_size, im2col, unfold
 from repro.ann.initializers import get_initializer
 from repro.utils.rng import SeedLike, as_rng
 
 
 #: per-batch caches that ``forward(training=True)`` keeps for ``backward``
 _BACKWARD_CACHES = ("_input", "_pre_activation", "_cols", "_argmax", "_mask", "_cache")
+
+#: Largest conv product, in multiply-adds (``rows · C·K·K · out_c``), for
+#: which ``Conv2D`` multiplies a row-major copy of its columns rather than
+#: the transposed view of the tap-major panel.  BLAS packs either storage
+#: order into the same blocks, so large products come out the same bits.
+#: Small ones, and products with a dimension of 1, may take OpenBLAS's
+#: unpacked small-matrix or GEMV kernels instead, whose summation order
+#: depends on the storage order.  In OpenBLAS 0.3.31 on AVX-512 the
+#: small-matrix path ends at 10**6 (the last differing product in 5,000
+#: random shapes was 999,936); this bound leaves twice that margin.
+_SMALL_PRODUCT = 2_000_000
 
 
 class Layer:
@@ -177,6 +188,20 @@ class ReLU(Layer):
 class Conv2D(Layer):
     """2-D convolution over channel-first images, implemented with im2col.
 
+    The forward pass unfolds the input into :func:`~repro.ann.im2col.unfold`'s
+    tap-major panel, one contiguous slab copy per kernel tap, and multiplies
+    its transpose — the ``(rows, C·K·K)`` column matrix as a strided view —
+    by the weight matrix.  Each product is the seed's: the same operands,
+    shapes and reduction dimension, so BLAS sums in the same order, and the
+    output keeps the seed's ``(rows, out_c)`` row-major memory viewed as
+    NCHW (the bias gradient's ``sum(axis=0)`` depends on that layout).
+    Products small enough for BLAS's unpacked kernels use a row-major copy
+    of the columns (``_SMALL_PRODUCT``).  The input gradient is the seed's
+    product, folded by :func:`~repro.ann.im2col.col2im` into an
+    NCHW-ordered array.  Trained weights are therefore bit-identical to the
+    seed's; ``tests/test_ann_exactness.py`` holds the seed formulas as the
+    oracle.
+
     Parameters
     ----------
     in_channels, out_channels:
@@ -233,11 +258,20 @@ class Conv2D(Layer):
                 f"{self.name}: expected input (N, {self.in_channels}, H, W), got {x.shape}"
             )
         n = x.shape[0]
-        cols, out_h, out_w = im2col(x, self.kernel_size, self.kernel_size, self.stride, self.padding)
+        panel, out_h, out_w = unfold(
+            x, self.kernel_size, self.kernel_size, self.stride, self.padding
+        )
+        cols = panel.T
+        rows, depth = cols.shape
+        if (
+            rows * depth * self.out_channels <= _SMALL_PRODUCT
+            or min(rows, depth, self.out_channels) == 1
+        ):
+            cols = np.ascontiguousarray(cols)
         weight_matrix = self.params["weight"].reshape(self.out_channels, -1)
         out = cols @ weight_matrix.T
         if self.use_bias:
-            out = out + self.params["bias"]
+            out += self.params["bias"]
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         if training:
             self._cols = cols
@@ -283,6 +317,13 @@ class AvgPool2D(Layer):
     Average pooling is the pooling operation used in converted SNNs because it
     is linear and therefore maps exactly onto spike-rate averaging (Cao et
     al. [10]); the converter offers to replace max pooling with it.
+
+    2×2 / stride-2 windows pool through :func:`~repro.ann.im2col.avgpool2x2`,
+    the numpy backend's spiking-pool kernel; other windows average
+    :func:`~repro.ann.im2col.im2col` columns.  The backward pass adds
+    ``grad / area`` into zeros once per window offset, in ``(ky, kx)``
+    order — the seed's fold of repeated columns, without the columns.  Both
+    directions are bit-identical to the seed's.
     """
 
     def __init__(self, pool_size: int = 2, stride: Optional[int] = None, name: Optional[str] = None) -> None:
@@ -301,10 +342,13 @@ class AvgPool2D(Layer):
         if x.ndim != 4:
             raise ValueError(f"{self.name}: expected (N, C, H, W), got {x.shape}")
         n, c, h, w = x.shape
-        cols, out_h, out_w = im2col(
-            x.reshape(n * c, 1, h, w), self.pool_size, self.pool_size, self.stride, 0
-        )
-        out = cols.mean(axis=1).reshape(n, c, out_h, out_w)
+        if self.pool_size == 2 and self.stride == 2:
+            out = avgpool2x2(x, np.empty((n, c, h // 2, w // 2), dtype=np.float64))
+        else:
+            cols, out_h, out_w = im2col(
+                x.reshape(n * c, 1, h, w), self.pool_size, self.pool_size, self.stride, 0
+            )
+            out = cols.mean(axis=1).reshape(n, c, out_h, out_w)
         if training:
             self._input_shape = x.shape
         return out
@@ -315,14 +359,14 @@ class AvgPool2D(Layer):
         n, c, h, w = self._input_shape
         out_h = conv_output_size(h, self.pool_size, self.stride, 0)
         out_w = conv_output_size(w, self.pool_size, self.stride, 0)
-        area = self.pool_size * self.pool_size
-        grad_cols = np.repeat(
-            grad_output.reshape(n * c * out_h * out_w, 1) / area, area, axis=1
-        )
-        grad_input = col2im(
-            grad_cols, (n * c, 1, h, w), self.pool_size, self.pool_size, self.stride, 0
-        )
-        return grad_input.reshape(n, c, h, w)
+        share = grad_output / (self.pool_size * self.pool_size)
+        grad_input = np.zeros((n, c, h, w), dtype=np.float64)
+        for ky in range(self.pool_size):
+            y_max = ky + self.stride * out_h
+            for kx in range(self.pool_size):
+                x_max = kx + self.stride * out_w
+                grad_input[:, :, ky:y_max:self.stride, kx:x_max:self.stride] += share
+        return grad_input
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         if len(input_shape) != 3:

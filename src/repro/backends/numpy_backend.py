@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.ann.im2col import DirectConvPlan, Im2colPlan
+from repro.ann.im2col import DirectConvPlan, Im2colPlan, avgpool2x2
 from repro.backends.base import KernelBackend
 from repro.backends.registry import register_backend
 
@@ -107,18 +107,7 @@ class NumpyBackend(KernelBackend):
 
     # -- pooling kernels ---------------------------------------------------
     def avgpool2x2(self, incoming: np.ndarray, out: np.ndarray) -> np.ndarray:
-        oh, ow = out.shape[2], out.shape[3]
-        # window-column order (0,0), (0,1), (1,0), (1,1) — the same
-        # sequential reduction order as cols.mean(axis=1)
-        np.add(
-            incoming[:, :, 0 : oh * 2 : 2, 0 : ow * 2 : 2],
-            incoming[:, :, 0 : oh * 2 : 2, 1 : ow * 2 : 2],
-            out=out,
-        )
-        out += incoming[:, :, 1 : oh * 2 : 2, 0 : ow * 2 : 2]
-        out += incoming[:, :, 1 : oh * 2 : 2, 1 : ow * 2 : 2]
-        out /= 4
-        return out
+        return avgpool2x2(incoming, out)
 
     def mean_columns(self, cols: np.ndarray, out_flat: np.ndarray) -> np.ndarray:
         return cols.mean(axis=1, out=out_flat)

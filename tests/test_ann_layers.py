@@ -312,3 +312,15 @@ class TestPickling:
         for name, value in layer.params.items():
             assert np.array_equal(clone.params[name], value)
         assert np.array_equal(clone.forward(x), layer.forward(x))
+
+    def test_conv_pickle_does_not_grow_after_training_forward(self):
+        """The cached columns (``_cols``, a view of the tap-major panel) stay
+        out of the pickle shard workers receive: a training forward adds
+        only the recorded input and output shapes, not the 590 kB panel."""
+        import pickle
+
+        layer = Conv2D(8, 16, 3, padding=1, seed=0)
+        before = len(pickle.dumps(layer))
+        layer.forward(np.ones((4, 8, 16, 16)), training=True)
+        assert layer._cols.nbytes > 50 * before
+        assert len(pickle.dumps(layer)) <= before + 64
