@@ -8,13 +8,8 @@ and the SNN per-time-step pass numerically identical for the same weights.
 
 The ANN layers train on these forms:
 
-* :func:`unfold` — the tap-major column panel ``(C·K·K, N·out_h·out_w)``.
-  It is filled one kernel tap at a time, and each tap is one
-  ``(C, N, out_h, out_w)`` slab copy whose rows are contiguous.  Its
-  transpose is the ``(N·out_h·out_w, C·K·K)`` column matrix, element for
-  element; ``Conv2D`` multiplies that transposed view directly;
-* :func:`im2col` — the same columns as a row-major copy, for the pooling
-  layers' generic paths;
+* :func:`im2col` — the ``(N·out_h·out_w, C·K·K)`` column matrix, a fresh
+  row-major array per call, which ``Conv2D`` multiplies by its weights;
 * :func:`col2im` — the adjoint fold.  It adds the taps in ``(ky, kx)``
   order into a zeroed channels-last buffer, a few images at a time so the
   block stays in cache, and hands back an NCHW-ordered array;
@@ -81,45 +76,6 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def unfold(
-    x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
-) -> Tuple[np.ndarray, int, int]:
-    """Unfold ``x`` of shape (N, C, H, W) into a tap-major column panel.
-
-    Returns
-    -------
-    panel:
-        C-contiguous array of shape ``(C * kernel_h * kernel_w,
-        N * out_h * out_w)``; row ``(c, ky, kx)`` holds tap ``(ky, kx)`` of
-        channel ``c`` at every output position.  ``panel.T`` equals
-        :func:`im2col`'s columns element for element.
-    out_h, out_w:
-        Spatial output dimensions.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ValueError(f"unfold expects (N, C, H, W), got shape {x.shape}")
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel_h, stride, padding)
-    out_w = conv_output_size(w, kernel_w, stride, padding)
-
-    if padding > 0:
-        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-        padded[:, :, padding : padding + h, padding : padding + w] = x
-        x = padded
-
-    panel = np.empty((c, kernel_h, kernel_w, n, out_h, out_w), dtype=np.float64)
-    for ky in range(kernel_h):
-        y_max = ky + stride * out_h
-        for kx in range(kernel_w):
-            x_max = kx + stride * out_w
-            np.copyto(
-                panel[:, ky, kx],
-                x[:, :, ky:y_max:stride, kx:x_max:stride].transpose(1, 0, 2, 3),
-            )
-    return panel.reshape(c * kernel_h * kernel_w, n * out_h * out_w), out_h, out_w
-
-
 def im2col(
     x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
@@ -128,13 +84,30 @@ def im2col(
     Returns
     -------
     cols:
-        C-contiguous array of shape ``(N * out_h * out_w, C * kernel_h *
-        kernel_w)``: the transpose of :func:`unfold`'s panel.
+        Array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
     out_h, out_w:
         Spatial output dimensions.
     """
-    panel, out_h, out_w = unfold(x, kernel_h, kernel_w, stride, padding)
-    return np.ascontiguousarray(panel.T), out_h, out_w
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 4:
+        raise ValueError(f"im2col expects (N, C, H, W), got shape {x.shape}")
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel_h, stride, padding)
+    out_w = conv_output_size(w, kernel_w, stride, padding)
+
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
+
+    # Strided sliding-window view: (N, C, out_h, out_w, kernel_h, kernel_w)
+    stride_n, stride_c, stride_h, stride_w = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, out_h, out_w, kernel_h, kernel_w),
+        strides=(stride_n, stride_c, stride_h * stride, stride_w * stride, stride_h, stride_w),
+        writeable=False,
+    )
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel_h * kernel_w)
+    return np.ascontiguousarray(cols), out_h, out_w
 
 
 def avgpool2x2(incoming: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -20,24 +20,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.ann.activations import relu, relu_grad
-from repro.ann.im2col import avgpool2x2, col2im, conv_output_size, im2col, unfold
+from repro.ann.im2col import avgpool2x2, col2im, conv_output_size, im2col
 from repro.ann.initializers import get_initializer
 from repro.utils.rng import SeedLike, as_rng
 
 
 #: per-batch caches that ``forward(training=True)`` keeps for ``backward``
 _BACKWARD_CACHES = ("_input", "_pre_activation", "_cols", "_argmax", "_mask", "_cache")
-
-#: Largest conv product, in multiply-adds (``rows · C·K·K · out_c``), for
-#: which ``Conv2D`` multiplies a row-major copy of its columns rather than
-#: the transposed view of the tap-major panel.  BLAS packs either storage
-#: order into the same blocks, so large products come out the same bits.
-#: Small ones, and products with a dimension of 1, may take OpenBLAS's
-#: unpacked small-matrix or GEMV kernels instead, whose summation order
-#: depends on the storage order.  In OpenBLAS 0.3.31 on AVX-512 the
-#: small-matrix path ends at 10**6 (the last differing product in 5,000
-#: random shapes was 999,936); this bound leaves twice that margin.
-_SMALL_PRODUCT = 2_000_000
 
 
 class Layer:
@@ -188,19 +177,14 @@ class ReLU(Layer):
 class Conv2D(Layer):
     """2-D convolution over channel-first images, implemented with im2col.
 
-    The forward pass unfolds the input into :func:`~repro.ann.im2col.unfold`'s
-    tap-major panel, one contiguous slab copy per kernel tap, and multiplies
-    its transpose — the ``(rows, C·K·K)`` column matrix as a strided view —
-    by the weight matrix.  Each product is the seed's: the same operands,
-    shapes and reduction dimension, so BLAS sums in the same order, and the
-    output keeps the seed's ``(rows, out_c)`` row-major memory viewed as
-    NCHW (the bias gradient's ``sum(axis=0)`` depends on that layout).
-    Products small enough for BLAS's unpacked kernels use a row-major copy
-    of the columns (``_SMALL_PRODUCT``).  The input gradient is the seed's
-    product, folded by :func:`~repro.ann.im2col.col2im` into an
-    NCHW-ordered array.  Trained weights are therefore bit-identical to the
-    seed's; ``tests/test_ann_exactness.py`` holds the seed formulas as the
-    oracle.
+    The input gradient ``grad @ W`` is folded by
+    :func:`~repro.ann.im2col.col2im`, which adds the taps in the same
+    ``(ky, kx)`` order into zeros and hands back an NCHW-ordered array.  The
+    forward output keeps the ``(rows, out_c)`` row-major memory viewed as
+    NCHW, because the bias gradient's ``sum(axis=0)`` sums in an order that
+    depends on that layout.  Trained weights are therefore bit-identical to
+    the seed's; ``tests/test_ann_exactness.py`` holds the seed formulas as
+    the oracle.
 
     Parameters
     ----------
@@ -258,20 +242,11 @@ class Conv2D(Layer):
                 f"{self.name}: expected input (N, {self.in_channels}, H, W), got {x.shape}"
             )
         n = x.shape[0]
-        panel, out_h, out_w = unfold(
-            x, self.kernel_size, self.kernel_size, self.stride, self.padding
-        )
-        cols = panel.T
-        rows, depth = cols.shape
-        if (
-            rows * depth * self.out_channels <= _SMALL_PRODUCT
-            or min(rows, depth, self.out_channels) == 1
-        ):
-            cols = np.ascontiguousarray(cols)
+        cols, out_h, out_w = im2col(x, self.kernel_size, self.kernel_size, self.stride, self.padding)
         weight_matrix = self.params["weight"].reshape(self.out_channels, -1)
         out = cols @ weight_matrix.T
         if self.use_bias:
-            out += self.params["bias"]
+            out = out + self.params["bias"]
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         if training:
             self._cols = cols
@@ -343,7 +318,9 @@ class AvgPool2D(Layer):
             raise ValueError(f"{self.name}: expected (N, C, H, W), got {x.shape}")
         n, c, h, w = x.shape
         if self.pool_size == 2 and self.stride == 2:
-            out = avgpool2x2(x, np.empty((n, c, h // 2, w // 2), dtype=np.float64))
+            out_h = conv_output_size(h, 2, 2, 0)
+            out_w = conv_output_size(w, 2, 2, 0)
+            out = avgpool2x2(x, np.empty((n, c, out_h, out_w), dtype=np.float64))
         else:
             cols, out_h, out_w = im2col(
                 x.reshape(n * c, 1, h, w), self.pool_size, self.pool_size, self.stride, 0

@@ -9,8 +9,7 @@ bias and input gradients and pooled gradients.
 
 The geometries go beyond what the goldens train: kernels 1/3/5, strides 1/2,
 paddings 0/1/2, 1 to 32 channels, batches 1 to 32, odd sizes such as 9×11,
-products on both sides of ``Conv2D``'s small-product bound, and products
-with a dimension of 1.  A three-step ``Sequential.fit`` of a small CNN must
+and products with a dimension of 1.  A three-step ``Sequential.fit`` of a small CNN must
 also produce the same weight bytes as a copy built from the oracle layers.
 """
 
@@ -19,7 +18,7 @@ from typing import Tuple
 import numpy as np
 import pytest
 
-from repro.ann.im2col import col2im, conv_output_size, im2col, unfold
+from repro.ann.im2col import col2im, conv_output_size, im2col
 from repro.ann.layers import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.ann.model import Sequential
 from repro.ann.optimizers import Adam
@@ -217,15 +216,13 @@ def conv_pair(n, c, h, w, out_c, kernel, stride, padding) -> Tuple[Conv2D, Oracl
 
 class TestColumnKernels:
     @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
-    def test_unfold_and_im2col_match_oracle(self, geometry):
+    def test_im2col_matches_oracle(self, geometry):
         n, c, h, w, _, kernel, stride, padding = geometry
         x = np.random.default_rng(0).normal(size=(n, c, h, w))
         expected, out_h, out_w = oracle_im2col(x, kernel, kernel, stride, padding)
-        panel, panel_h, panel_w = unfold(x, kernel, kernel, stride, padding)
         cols, cols_h, cols_w = im2col(x, kernel, kernel, stride, padding)
-        assert (panel_h, panel_w) == (cols_h, cols_w) == (out_h, out_w)
-        assert panel.flags.c_contiguous and cols.flags.c_contiguous
-        assert_same_bits(panel.T, expected)
+        assert (cols_h, cols_w) == (out_h, out_w)
+        assert cols.flags.c_contiguous
         assert_same_bits(cols, expected)
 
     @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
@@ -260,17 +257,6 @@ class TestConv2DExactness:
         assert_same_bits(grad_input, expected_grad_input)
         assert_same_bits(shipped.grads["weight"], oracle.grads["weight"])
         assert_same_bits(shipped.grads["bias"], oracle.grads["bias"])
-
-    def test_geometries_cover_both_column_operands(self):
-        """Some geometries multiply the panel's transposed view, others a
-        row-major copy (small products and products with a dimension of 1)."""
-        operands = set()
-        for geometry in CONV_GEOMETRIES:
-            shipped, _ = conv_pair(*geometry)
-            n, c, h, w = geometry[:4]
-            shipped.forward(np.zeros((n, c, h, w)), training=True)
-            operands.add(bool(shipped._cols.flags.c_contiguous))
-        assert operands == {True, False}
 
 
 class TestPoolingExactness:
@@ -313,15 +299,11 @@ def small_cnn(conv=Conv2D, avg_pool=AvgPool2D, max_pool=MaxPool2D) -> Sequential
 
 def test_three_step_fit_matches_oracle_weights():
     """Three Adam steps (batches of 12, 12 and 7 images) give the same
-    weight bytes through the shipped layers as through the oracle layers.
-    ``conv_0`` multiplies the panel view on the batches of 12 and a
-    row-major copy on the batch of 7; ``conv_1`` always takes the copy."""
+    weight bytes through the shipped layers as through the oracle layers."""
     rng = np.random.default_rng(6)
     x = rng.normal(size=(31, 3, 24, 24))
     y = rng.integers(0, 10, size=31)
     shipped = small_cnn()
-    shipped.layers[0].forward(x[:12], training=True)
-    assert not shipped.layers[0]._cols.flags.c_contiguous
     oracle = small_cnn(OracleConv2D, OracleAvgPool2D, OracleMaxPool2D)
     for model in (shipped, oracle):
         model.fit(x, y, epochs=1, batch_size=12, optimizer=Adam(learning_rate=1e-2), seed=0)

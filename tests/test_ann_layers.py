@@ -314,9 +314,9 @@ class TestPickling:
         assert np.array_equal(clone.forward(x), layer.forward(x))
 
     def test_conv_pickle_does_not_grow_after_training_forward(self):
-        """The cached columns (``_cols``, a view of the tap-major panel) stay
-        out of the pickle shard workers receive: a training forward adds
-        only the recorded input and output shapes, not the 590 kB panel."""
+        """The cached columns (``_cols``) stay out of the pickle shard
+        workers receive: a training forward adds only the recorded input
+        and output shapes, not the 590 kB column matrix."""
         import pickle
 
         layer = Conv2D(8, 16, 3, padding=1, seed=0)
