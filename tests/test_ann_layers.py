@@ -198,6 +198,11 @@ class TestPooling:
         with pytest.raises(ValueError):
             MaxPool2D(0)
 
+    @pytest.mark.parametrize("pool_cls", [AvgPool2D, MaxPool2D])
+    def test_input_smaller_than_window_raises(self, pool_cls):
+        with pytest.raises(ValueError):
+            pool_cls(2).forward(np.ones((1, 1, 1, 4)))
+
 
 class TestFlattenDropout:
     def test_flatten_roundtrip(self):
