@@ -8,7 +8,7 @@ The package is organised bottom-up:
 * :mod:`repro.models` — MLP / CNN / VGG-16 builders,
 * :mod:`repro.conversion` — DNN→SNN weight normalisation and conversion,
 * :mod:`repro.backends` — the pluggable compute-backend layer: every kernel
-  hot path (GEMM, gathers, conv plans, IF/threshold updates) behind a
+  hot path (GEMM, conv plans, pooling, IF/threshold updates) behind a
   registry of :class:`~repro.backends.base.KernelBackend` implementations,
 * :mod:`repro.snn` — the discrete-time spiking simulator (IF neurons,
   threshold dynamics, weighted spikes, encoders),

@@ -25,9 +25,8 @@ hundreds of times (once per simulation step):
   layout is :func:`im2col`'s, so results are bit-for-bit the same.
 * :class:`DirectConvPlan` skips the column matrix entirely for stride-1
   convolutions.  It reads each kernel tap as one flat window of a
-  zero-bordered copy of the input, with optional packing to the
-  spike-carrying input channels, and picks one of two kernels from the
-  packed width alone: inputs of at most four channels gather every tap
+  zero-bordered copy of the input, and picks one of two kernels from the
+  input channel count alone: inputs of at most four channels gather every tap
   window into one panel and run a single GEMM (per-tap GEMMs of rank 1–3
   waste most of their time in BLAS overhead), and wider inputs run one
   accumulating GEMM per tap over a channels-last halo buffer.  Both
@@ -46,7 +45,7 @@ from scipy.linalg.blas import dgemm as _dgemm, sgemm as _sgemm
 #: BLAS GEMMs that can accumulate into their output (``beta=1``), by dtype
 _ACCUMULATING_GEMM = {np.dtype(np.float32): _sgemm, np.dtype(np.float64): _dgemm}
 
-#: Widest packed input, in channels, that :class:`DirectConvPlan` convolves
+#: Widest input, in channels, that :class:`DirectConvPlan` convolves
 #: with its single-GEMM panel kernel; wider inputs take the per-tap
 #: accumulating kernel.  Kernel times, accumulate vs panel (float32, 3×3
 #: kernel, padding 1, 16 images, one BLAS thread, median of 5 processes'
@@ -269,18 +268,18 @@ class DirectConvPlan:
     ``window_rows = (out_h−1)·PW + out_w``); rows that fall in a halo margin
     or between images receive garbage and are never read.
 
-    The packed input width alone picks the kernel, so every float32 result
-    is a pure function of the geometry and that width:
+    The input channel count alone picks the kernel, so every float32 result
+    is a pure function of the geometry:
 
     * **panel** (at most ``_PANEL_MAX_CHANNELS`` = 4 channels): the input is
-      copied into a channels-first ``(C', N, PH, PW)`` scratch; panel row
+      copied into a channels-first ``(C, N, PH, PW)`` scratch; panel row
       ``(tap, c)`` is the slice of channel ``c``'s flat strip at the tap's
-      offset, and one GEMM, ``panel.T @ taps.reshape(K·K·C', out_c)``, yields
+      offset, and one GEMM, ``panel.T @ taps.reshape(K·K·C, out_c)``, yields
       every output row.  Per-tap GEMMs over one to three channels are rank-1
       to rank-3 updates that BLAS runs far below peak; the one deep GEMM is
       4–10× faster at those widths (measurements at the constant);
     * **accumulate** (wider inputs): the input is copied into a channels-last
-      ``(N, PH, PW, C')`` halo buffer, so a tap window is a ``(rows, C')``
+      ``(N, PH, PW, C)`` halo buffer, so a tap window is a ``(rows, C)``
       matrix, and one ``gemm(beta=1)`` per tap accumulates into the output in
       place — one input transpose plus ``K·K`` reads of the cache-resident
       halo, where the panel would copy the input ``K·K`` times.
@@ -289,13 +288,8 @@ class DirectConvPlan:
     ``(c, ky, kx)`` im2col ordering, so results match :class:`Im2colPlan` +
     GEMM only to rounding; the simulation engine therefore uses this plan on
     its tolerance-based (float32) path and keeps the canonical plan for the
-    float64 exact-match path (see :mod:`repro.utils.sparsity`).
-
-    Channel packing (the sparse-column path): ``run(..., active_channels=)``
-    lifts only the spike-carrying input channels and multiplies the matching
-    rows of each tap matrix.  Each kernel allocates its scratch on first use,
-    sized for the widest input it takes, and carves narrower packed widths
-    from the front of it.
+    float64 exact-match path.  The plan allocates only its own kernel's
+    scratch, once, when it is built.
     """
 
     def __init__(
@@ -333,19 +327,19 @@ class DirectConvPlan:
         self._zfull_view = self._zfull.reshape(
             n, self.padded_h, self.padded_w, self.out_channels
         )[:, : self.out_h, : self.out_w, :].transpose(0, 3, 1, 2)
-        # per-kernel flat scratch (allocated on first use) and the views
-        # carved from it for the last packed width, keyed by that width
-        self._panel_scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._panel_views: Optional[tuple] = None
+        self._use_panel = channels <= _PANEL_MAX_CHANNELS
+        #: the accumulate kernel's flat halo (``None`` for panel plans)
         self._halo_flat: Optional[np.ndarray] = None
-        self._halo_views: Optional[tuple] = None
+        if self._use_panel:
+            self._build_panel()
+        else:
+            self._build_halo()
 
     def run(
         self,
         x: np.ndarray,
         taps: np.ndarray,
         bias: Optional[np.ndarray] = None,
-        active_channels: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Convolve ``x`` (N, C, H, W) with per-tap matrices ``taps``.
 
@@ -354,14 +348,10 @@ class DirectConvPlan:
         x:
             Input batch in the engine's channels-first layout.
         taps:
-            ``(K·K, C', out_c)`` stack of tap matrices (``weight[o, c, ky, kx]``
-            transposed to ``taps[ky·K + kx, c, o]``), already gathered to the
-            active channels when ``active_channels`` is given.
+            ``(K·K, C, out_c)`` stack of tap matrices (``weight[o, c, ky, kx]``
+            transposed to ``taps[ky·K + kx, c, o]``).
         bias:
             Optional per-output-channel bias added once.
-        active_channels:
-            Indices of the input channels to lift (the sparse-column path);
-            ``None`` lifts all of them.
 
         Returns
         -------
@@ -373,99 +363,73 @@ class DirectConvPlan:
                 f"direct conv plan built for input shape {self.input_shape}, got {x.shape}"
             )
         c = self.input_shape[1]
-        packed = c if active_channels is None else int(len(active_channels))
-        if taps.shape != (self.kernel * self.kernel, packed, self.out_channels):
+        if taps.shape != (self.kernel * self.kernel, c, self.out_channels):
             raise ValueError(
                 f"taps shape {taps.shape} does not match "
-                f"({self.kernel * self.kernel}, {packed}, {self.out_channels})"
+                f"({self.kernel * self.kernel}, {c}, {self.out_channels})"
             )
         z_rows = self._zfull[: self.batch_rows]
-        if packed <= _PANEL_MAX_CHANNELS:
-            self._run_panel(x, taps, active_channels, packed, z_rows)
+        if self._use_panel:
+            self._run_panel(x, taps, z_rows)
         else:
-            self._run_accumulate(x, taps, active_channels, packed, z_rows)
+            self._run_accumulate(x, taps, z_rows)
         if bias is not None:
             z_rows += bias
         return self._zfull_view
 
-    def _run_panel(
-        self,
-        x: np.ndarray,
-        taps: np.ndarray,
-        active_channels: Optional[np.ndarray],
-        packed: int,
-        z_rows: np.ndarray,
-    ) -> None:
-        """Copy every tap window into one ``(K·K·C', rows)`` panel and run a
+    def _build_panel(self) -> None:
+        """Zeroed channel strips, their interior and tap-window views, and
+        the panel scratch (the interior is rewritten every run)."""
+        n, c, h, w = self.input_shape
+        k, rows, pad = self.kernel, self.batch_rows, self.padding
+        strip = n * self.padded_h * self.padded_w
+        strips = np.zeros(c * strip, dtype=self.dtype)
+        padded = strips.reshape(c, n, self.padded_h, self.padded_w)
+        self._interior = padded[:, :, pad : pad + h, pad : pad + w]
+        item = strips.itemsize
+        # (ky, kx, c, rows) view of every tap window over the strips
+        self._windows = np.lib.stride_tricks.as_strided(
+            strips,
+            shape=(k, k, c, rows),
+            strides=(self.padded_w * item, item, strip * item, item),
+            writeable=False,
+        )
+        self._panel = np.empty((k, k, c, rows), dtype=self.dtype)
+
+    def _run_panel(self, x: np.ndarray, taps: np.ndarray, z_rows: np.ndarray) -> None:
+        """Copy every tap window into one ``(K·K·C, rows)`` panel and run a
         single GEMM over it."""
-        if self._panel_views is None or self._panel_views[0] != packed:
-            self._panel_views = self._carve_panel(packed)
-        _, interior, windows, panel = self._panel_views
-        if active_channels is None:
-            interior[...] = x.transpose(1, 0, 2, 3)
-        else:
-            for packed_index, channel in enumerate(active_channels):
-                interior[packed_index] = x[:, channel]
-        np.copyto(panel, windows)
+        self._interior[...] = x.transpose(1, 0, 2, 3)
+        np.copyto(self._panel, self._windows)
         np.matmul(
-            panel.reshape(-1, self.batch_rows).T,
+            self._panel.reshape(-1, self.batch_rows).T,
             taps.reshape(-1, self.out_channels),
             out=z_rows,
         )
 
-    def _carve_panel(self, packed: int) -> tuple:
-        """(packed, interior, windows, panel) views for ``packed`` channels;
-        zeroes the strips' border (the interior is rewritten every run)."""
+    def _build_halo(self) -> None:
+        """Zeroed channels-last halo and its interior view (the interior is
+        rewritten every run)."""
         n, c, h, w = self.input_shape
-        k, rows, pad = self.kernel, self.batch_rows, self.padding
-        strip = n * self.padded_h * self.padded_w
-        if self._panel_scratch is None:
-            widest = min(c, _PANEL_MAX_CHANNELS)
-            self._panel_scratch = (
-                np.empty(widest * strip, dtype=self.dtype),
-                np.empty(k * k * widest * rows, dtype=self.dtype),
-            )
-        strips_flat, panel_flat = self._panel_scratch
-        strips = strips_flat[: packed * strip]
-        strips.fill(0.0)
-        padded = strips.reshape(packed, n, self.padded_h, self.padded_w)
-        item = strips.itemsize
-        # (ky, kx, c, rows) view of every tap window over the strips
-        windows = np.lib.stride_tricks.as_strided(
-            strips,
-            shape=(k, k, packed, rows),
-            strides=(self.padded_w * item, item, strip * item, item),
-            writeable=False,
-        )
-        panel = panel_flat[: k * k * packed * rows].reshape(k, k, packed, rows)
-        return packed, padded[:, :, pad : pad + h, pad : pad + w], windows, panel
+        pad = self.padding
+        self._halo_flat = np.zeros(n * self.padded_h * self.padded_w * c, dtype=self.dtype)
+        halo = self._halo_flat.reshape(n, self.padded_h, self.padded_w, c)
+        self._interior = halo[:, pad : pad + h, pad : pad + w, :]
 
-    def _run_accumulate(
-        self,
-        x: np.ndarray,
-        taps: np.ndarray,
-        active_channels: Optional[np.ndarray],
-        packed: int,
-        z_rows: np.ndarray,
-    ) -> None:
+    def _run_accumulate(self, x: np.ndarray, taps: np.ndarray, z_rows: np.ndarray) -> None:
         """One flat window per tap spanning the whole batch; ``gemm(beta=1)``
         accumulates into the (transposed view of the) output in place."""
-        if self._halo_views is None or self._halo_views[0] != packed:
-            self._halo_views = self._carve_halo(packed)
-        _, flat, interior = self._halo_views
-        if active_channels is None:
-            # transpose builds the NHWC view directly (moveaxis pays an extra
-            # normalisation pass on this hot path)
-            interior[...] = x.transpose(0, 2, 3, 1)
-        else:
-            for packed_index, channel in enumerate(active_channels):
-                interior[..., packed_index] = x[:, channel]
+        # transpose builds the NHWC view directly (moveaxis pays an extra
+        # normalisation pass on this hot path)
+        self._interior[...] = x.transpose(0, 2, 3, 1)
+        c = self.input_shape[1]
         rows = self.batch_rows
+        flat = self._halo_flat
         z_t = z_rows.T
         for tap_index in range(self.kernel * self.kernel):
             ky, kx = divmod(tap_index, self.kernel)
-            offset = (ky * self.padded_w + kx) * packed
-            window = flat[offset : offset + rows * packed].reshape(rows, packed)
+            offset = (ky * self.padded_w + kx) * c
+            window = flat[offset : offset + rows * c].reshape(rows, c)
             self._gemm(
                 1.0,
                 taps[tap_index].T,
@@ -474,19 +438,6 @@ class DirectConvPlan:
                 c=z_t,
                 overwrite_c=1,
             )
-
-    def _carve_halo(self, packed: int) -> tuple:
-        """(packed, flat halo, interior) views for ``packed`` channels; zeroes
-        the halo margin (the interior is rewritten every run)."""
-        n, c, h, w = self.input_shape
-        pixels = n * self.padded_h * self.padded_w
-        if self._halo_flat is None:
-            self._halo_flat = np.empty(pixels * c, dtype=self.dtype)
-        flat = self._halo_flat[: pixels * packed]
-        flat.fill(0.0)
-        halo = flat.reshape(n, self.padded_h, self.padded_w, packed)
-        pad = self.padding
-        return packed, flat, halo[:, pad : pad + h, pad : pad + w, :]
 
 
 def col2im(

@@ -1,11 +1,11 @@
 """The :class:`KernelBackend` interface: every hot-path primitive in one seam.
 
 The simulation engine's per-step work decomposes into a small set of kernel
-primitives — buffer allocation, GEMM, gathers over active features/channels,
-im2col / direct-convolution plans, slab pooling, and the elementwise
-integrate-and-fire / burst-threshold updates.  A backend implements those
-primitives; the layers (:mod:`repro.snn.layers`), neuron states
-(:mod:`repro.snn.neurons`) and threshold dynamics
+primitives — buffer allocation, GEMM, the max-pool winner gather, the
+empty-step nonzero count, im2col / direct-convolution plans, slab pooling,
+and the elementwise integrate-and-fire / burst-threshold updates.  A backend
+implements those primitives; the layers (:mod:`repro.snn.layers`), neuron
+states (:mod:`repro.snn.neurons`) and threshold dynamics
 (:mod:`repro.snn.thresholds`) orchestrate *which* primitive runs when, but
 never call a kernel library directly.
 
@@ -85,30 +85,15 @@ class KernelBackend:
         """``out = a * scalar`` elementwise."""
         raise NotImplementedError
 
-    def take(
-        self, a: np.ndarray, indices: np.ndarray, axis: int, out: np.ndarray
-    ) -> np.ndarray:
-        """Gather ``indices`` along ``axis`` into ``out`` (the sparse paths'
-        operand packing)."""
-        raise NotImplementedError
-
     def take_flat(
         self, a: np.ndarray, flat_indices: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         """Gather from the flattened view of ``a`` (the max-pool winner read)."""
         raise NotImplementedError
 
-    # -- activity scans (sparsity dispatch metrics) ------------------------
-    def active_features(self, x: np.ndarray) -> np.ndarray:
-        """Indices of the columns of a 2-D batch active anywhere in the batch."""
-        raise NotImplementedError
-
-    def active_channels(self, x: np.ndarray) -> np.ndarray:
-        """Indices of the channels of an (N, C, H, W) batch carrying any spike."""
-        raise NotImplementedError
-
+    # -- activity scan (empty-step dispatch) --------------------------------
     def count_nonzero(self, x: np.ndarray) -> int:
-        """Exact number of nonzero elements (the measured-activity metric)."""
+        """Exact number of nonzero elements (decides the empty-step shortcut)."""
         raise NotImplementedError
 
     # -- convolution plans -------------------------------------------------
@@ -141,7 +126,7 @@ class KernelBackend:
         dtype: np.dtype,
     ):
         """Build a stride-1 direct-convolution plan exposing
-        ``run(x, taps, bias, active_channels=None)`` (the float32 fast path)."""
+        ``run(x, taps, bias)`` (the float32 fast path)."""
         raise NotImplementedError
 
     # -- pooling kernels ---------------------------------------------------

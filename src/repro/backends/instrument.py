@@ -7,8 +7,8 @@ through the counting wrappers, which is what the per-layer seam-contract
 tests (``tests/test_backends.py``) and the traced benchmark run
 (``perfbench/run.py --trace 1``) read.
 
-The wrapper reports the inner backend's ``name`` so calibration caches keyed
-by backend stay warm.
+The wrapper reports the inner backend's ``name``, so anything keyed by
+backend name treats it as the backend it wraps.
 """
 
 from __future__ import annotations
@@ -28,10 +28,7 @@ PRIMITIVE_NAMES = (
     "matmul",
     "add_inplace",
     "scale",
-    "take",
     "take_flat",
-    "active_features",
-    "active_channels",
     "count_nonzero",
     "im2col_plan",
     "direct_conv_plan",
@@ -79,7 +76,7 @@ class InstrumentedBackend(KernelBackend):
     ) -> None:
         self._inner = inner
         self.recorder = recorder if recorder is not None else KernelCallRecorder()
-        # same registry name: calibration caches keyed by backend stay warm
+        # same registry name as the backend it wraps
         self.name = inner.name
         self.description = f"instrumented({inner.name})"
         for primitive in PRIMITIVE_NAMES:

@@ -51,23 +51,12 @@ class NumpyBackend(KernelBackend):
     def scale(self, a: np.ndarray, scalar: float, out: np.ndarray) -> np.ndarray:
         return np.multiply(a, scalar, out=out)
 
-    def take(
-        self, a: np.ndarray, indices: np.ndarray, axis: int, out: np.ndarray
-    ) -> np.ndarray:
-        return np.take(a, indices, axis=axis, out=out)
-
     def take_flat(
         self, a: np.ndarray, flat_indices: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         return np.take(a.reshape(-1), flat_indices, out=out)
 
-    # -- activity scans ----------------------------------------------------
-    def active_features(self, x: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(x.any(axis=0))
-
-    def active_channels(self, x: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(x.any(axis=(0, 2, 3)))
-
+    # -- activity scan -----------------------------------------------------
     def count_nonzero(self, x: np.ndarray) -> int:
         return int(np.count_nonzero(x))
 

@@ -9,7 +9,7 @@ into three explicit stages so every scheme — built-in or registered through
   encoder / threshold resolution through the scheme registry),
 * :mod:`repro.engine.plan` — per-network preparation: dtype resolution, the
   snapshot schedule, per-batch state reset driving the cached kernel plans,
-  sparsity calibrations and buffer preallocation inside the layers,
+  weight casts and buffer preallocation inside the layers,
 * :mod:`repro.engine.run` — the time-stepped simulation loop with recording
   and converged-image early exit, plus shard orchestration across worker
   processes.

@@ -14,7 +14,7 @@ pulled out of ``SpikingNetwork.run``:
   once per configuration — it does not depend on the batch,
 * per-batch **preparation** (:meth:`SimulationPlan.prepare`) resets the
   encoder and every layer — which is where the weight casts, cached
-  im2col/direct-conv plans, sparsity-crossover calibrations and scratch
+  im2col/direct-conv plans, empty-step bias responses and scratch
   buffers are (re)built, all keyed inside the layers so repeated batches of
   the same geometry reuse them — registers the spike records, and enables
   per-phase input caching for periodic encoders.

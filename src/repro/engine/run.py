@@ -1,16 +1,16 @@
 """Run stage: the time-stepped simulation loop and shard orchestration.
 
 This module owns everything that happens *per step* — encoder stepping,
-layer propagation with sparsity hints, spike recording, output snapshots and
-the converged-image early exit — plus the process-level fan-out used for
-sharded evaluation.  The build and plan stages
+layer propagation with nonzero-count hints, spike recording, output
+snapshots and the converged-image early exit — plus the process-level
+fan-out used for sharded evaluation.  The build and plan stages
 (:mod:`repro.engine.build` / :mod:`repro.engine.plan`) feed it;
 ``SpikingNetwork.run`` and the pipeline delegate here, so there is exactly
 one step loop in the code base, and it calls each layer's own ``step``.
 
 In float64 the loop is bit-identical to the original seed engine (golden
-reference ``benchmarks/perf/seed_reference.json``); the float32 default runs
-the measured-activity sparse kernels within the documented tolerance.
+reference ``benchmarks/perf/seed_reference.json``); the float32 default
+(float32 GEMMs, direct-conv kernels) stays within the documented tolerance.
 
 Thread safety
 -------------
@@ -225,21 +225,6 @@ def shard_ranges(num_images: int, batch_size: int, workers: int) -> List[Tuple[i
     return ranges
 
 
-def _sharded_entry(
-    worker: Callable[[int, int], T],
-    start: int,
-    stop: int,
-    calibration_cache: dict,
-) -> T:
-    """Worker-process entry point: install the parent's sparse/dense
-    crossovers so every worker dispatches to the same kernels the parent
-    would, then run the shard."""
-    from repro.utils.sparsity import install_calibration_cache
-
-    install_calibration_cache(calibration_cache)
-    return worker(start, stop)
-
-
 def run_sharded(
     worker: Callable[[int, int], T],
     ranges: Sequence[Tuple[int, int]],
@@ -249,28 +234,19 @@ def run_sharded(
 
     ``worker`` must be picklable (e.g. a bound method of a picklable object,
     or a :func:`functools.partial` over one) and is called as
-    ``worker(start, stop)`` inside each process.  The parent's timing-probed
-    sparse/dense crossovers are snapshotted here and shipped to every worker,
-    so results merge deterministically regardless of per-worker timing
-    probes.  The direct-conv kernels need no shipping: the packed input
-    width alone picks them, identically in every process.
+    ``worker(start, stop)`` inside each process.  Nothing is shipped besides
+    the worker: every kernel choice is a function of the layer geometry and
+    the step's input, so a worker computes exactly what the parent would.
     """
     import concurrent.futures
     import multiprocessing
 
-    from repro.utils.sparsity import calibration_cache_snapshot
-
     # the platform-default start method is deliberate: forcing fork on
     # platforms that default to spawn (macOS) is unsafe after the parent has
-    # run BLAS work; the calibration snapshot keeps spawned workers' kernel
-    # choices identical to the parent's either way
+    # run BLAS work
     context = multiprocessing.get_context()
-    cache = calibration_cache_snapshot()
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, mp_context=context
     ) as pool:
-        futures = [
-            pool.submit(_sharded_entry, worker, start, stop, cache)
-            for start, stop in ranges
-        ]
+        futures = [pool.submit(worker, start, stop) for start, stop in ranges]
         return [future.result() for future in futures]

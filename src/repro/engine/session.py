@@ -7,9 +7,9 @@ engine.  The expensive work happens once and is amortised across requests:
 * **build** — the DNN→SNN conversion (when constructed via
   :meth:`InferenceSession.from_model`) happens once per session,
 * **plan** — the dtype and compute-backend resolution and the snapshot
-  schedule are computed once, and the per-geometry kernel plans, sparsity
-  calibrations and scratch buffers cached inside the network's layers
-  survive across batches (all kernel hot paths run on the plan's resolved
+  schedule are computed once, and the per-geometry kernel plans, weight
+  casts and scratch buffers cached inside the network's layers survive
+  across batches (all kernel hot paths run on the plan's resolved
   :class:`~repro.backends.base.KernelBackend`),
 * **run** — every :meth:`run` call only pays the per-batch state reset and
   the step loop.
@@ -31,8 +31,8 @@ batcher threads, or user threads sharing one session) serialise instead of
 corrupting each other's buffers.  For *parallel* execution build one session
 per thread (each owns its own converted network) — or a whole pool in one
 call with :meth:`InferenceSession.replica_pool`, which shares the float64
-weight masters across replicas (per-replica plan/scratch buffers and
-sparsity-calibration cache keys, so replicas never contend on plan state) —
+weight masters across replicas (per-replica plan/scratch buffers, so
+replicas never contend on plan state) —
 or use the sharded evaluation path.
 
 Each :meth:`InferenceSession.run` pins the loaded OpenBLAS to one thread
@@ -154,9 +154,8 @@ class InferenceSession:
         float64 batch answers bit-identically on any replica.  The float64
         weight masters are aliased across replicas (one copy in memory);
         everything mutable — plan buffers, kernel plans, cast caches, neuron
-        state — is per-replica, and each replica beyond the first tags its
-        sparsity-calibration cache keys (``sparsity_cache_tag``) so replicas
-        calibrating concurrently never contend on shared plan state.
+        state — is per-replica, so replicas never contend on shared plan
+        state.
 
         Note: a stochastic (Poisson) input encoder owns one RNG stream *per
         replica* — deterministic encoders (phase, TTFS, real amplitudes) are
@@ -190,8 +189,6 @@ class InferenceSession:
             session.replica_index = index
             if index > 0:
                 _share_weight_masters(sessions[0].network, session.network)
-                for layer in session.network.layers:
-                    layer.sparsity_cache_tag = f"replica-{index}"
             sessions.append(session)
         return sessions
 
@@ -212,9 +209,8 @@ class InferenceSession:
         so overlapping runs would corrupt each other's buffers).  The pair
         runs with OpenBLAS pinned to one thread (see "Thread safety" above).
         """
-        # the pin covers prepare too: the sparsity-crossover and direct-conv
-        # calibration probes run there and must time the kernels under the
-        # thread count they will run with
+        # the pin covers prepare too, so the whole batch, from the layer
+        # resets to the last step, runs its BLAS work on one thread
         with self._run_lock, single_blas_thread():
             result = execute(self.plan.prepare(x), labels=labels)
             self.batches_served += 1

@@ -13,37 +13,31 @@ them); max pooling uses the standard spiking gating approach of Rueckauer et
 al. [12]: each window forwards the amplitude of the input unit with the
 largest cumulative transmitted value.
 
-Every kernel primitive a layer's hot path touches — GEMMs, gathers, conv
-plans, pooling slabs and the IF/threshold elementwise updates — runs on the
-layer's resolved :class:`~repro.backends.base.KernelBackend` (``self.ops``,
-bound at ``reset``); the layers orchestrate *which* kernel runs per step but
-never call a kernel library directly.  The default numpy backend is the
-original code relocated behind the seam, so all guarantees below are
-unchanged.
+Every kernel primitive a layer's hot path touches — GEMMs, conv plans,
+pooling slabs, the max-pool winner read and the IF/threshold elementwise
+updates — runs on the layer's resolved
+:class:`~repro.backends.base.KernelBackend` (``self.ops``, bound at
+``reset``); the layers orchestrate *which* kernel runs per step but never
+call a kernel library directly.  The default numpy backend is the original
+code relocated behind the seam, so all guarantees below are unchanged.
 
 Performance contract
 --------------------
 ``step`` is called once per layer per simulation time step and is
-allocation-free in the steady state (modulo the small per-step index arrays
-of the sparse paths):
+allocation-free in the steady state:
 
 * weights are kept as float64 masters and cast **once per reset** to the
   simulation dtype (float32 by default, float64 opt-in — see
   :mod:`repro.utils.dtypes`); per-step bias injection uses a precomputed
   ``bias_scale·b`` vector;
 * whatever does not change within a run is settled at ``reset``, not per
-  step: the ``REPRO_SPARSE_MODE`` parse (by the dispatcher) and threshold
-  positivity (by the threshold dynamics); the direct-conv kernel needs no
-  settling, since the packed input width alone picks it;
-* every synaptic layer dispatches each step through a per-layer
+  step: threshold positivity (by the threshold dynamics); the direct-conv
+  kernel needs no settling, since the input geometry alone picks it;
+* every synaptic and pooling layer dispatches each step through a per-layer
   :class:`~repro.utils.sparsity.SparsityDispatcher`: an all-zero incoming
-  tensor short-circuits to a precomputed bias response (exact in every
-  dtype); on the tolerance-based float32 path, measured activity below the
-  layer's auto-calibrated crossover selects a **sparse kernel** —
-  gather-matmul over the active input features for :class:`SpikingDense`, a
-  channel-packed :class:`~repro.ann.im2col.DirectConvPlan` for
-  :class:`SpikingConv2D` — and dense float32 stride-1 convolutions run on
-  the direct (halo) plan rather than the column fill;
+  tensor short-circuits to a precomputed response (exact in every dtype),
+  anything else runs the dense kernel; dense float32 stride-1 convolutions
+  run on the direct (halo) plan rather than the column fill;
 * the float64 exact path keeps the canonical cached
   :class:`~repro.ann.im2col.Im2colPlan` + GEMM pipeline, so float64 runs
   stay bit-identical to the seed engine;
@@ -118,10 +112,6 @@ class SpikingLayer:
         #: forwards it to the next layer as ``incoming_nonzero`` so cheap
         #: layers can skip re-scanning their input for activity
         self.output_nonzero: Optional[int] = None
-        #: extra component of the sparsity-calibration cache key; replica
-        #: session pools set a per-replica tag so replicas calibrating the
-        #: same geometry concurrently never contend on one cache entry
-        self.sparsity_cache_tag = ""
 
     def reset(self, batch_size: int, dtype: DTypeLike = None, backend=None) -> None:
         """Allocate per-simulation state for a batch of ``batch_size`` samples.
@@ -218,47 +208,17 @@ class _SpikingNeuronLayer(SpikingLayer):
         self.bias_scale = float(bias_scale)
         self.state: Optional[IFNeuronState] = None
         self._cast_cache: Dict[str, np.ndarray] = {}
-        self.dispatcher: Optional[SparsityDispatcher] = None
+        self.dispatcher = SparsityDispatcher(name)
         self._input_period: Optional[int] = None
         self._z_cache: Optional[List[Optional[np.ndarray]]] = None
-        #: the engine's exact incoming nonzero count for the current step
-        #: (None outside an engine-driven step); lets _synaptic_input skip
-        #: the activity scan when the hint already decides the outcome
-        self._incoming_nonzero: Optional[int] = None
-
-    def _hinted_decision(self, incoming: np.ndarray) -> Optional[str]:
-        """Dispatch from the engine's nonzero-count hint when conclusive.
-
-        The hint is exact, so a zero count is the (provably exact) empty
-        shortcut in every dtype.  A nonzero count settles the decision when
-        the sparse path cannot be taken anyway (exactness-gated float64), or
-        when the element fraction already reaches the crossover — the
-        structured (channel/feature) fraction is always ≥ the element
-        fraction, so the sparse branch could not have been chosen.
-        """
-        count = self._incoming_nonzero
-        self._incoming_nonzero = None
-        if count is None:
-            return None
-        dispatcher = self.dispatcher
-        assert dispatcher is not None
-        if dispatcher.forced is not None:
-            return None  # forced modes keep the full (scanned) dispatch path
-        fraction = count / incoming.size
-        if count == 0:
-            return dispatcher.choose(0.0)
-        if dispatcher.exact_only or fraction >= dispatcher.crossover:
-            return dispatcher.choose(fraction)
-        return None
+        #: precomputed response to an all-zero input (the scaled bias)
+        self._z_empty: Optional[np.ndarray] = None
 
     def _state_shape(self, batch_size: int) -> Tuple[int, ...]:
         raise NotImplementedError
 
     def _prepare_buffers(self, batch_size: int) -> None:
         """Hook for subclasses to (re)build their per-run scratch buffers."""
-
-    def _calibrate_dispatcher(self) -> None:
-        """Hook: auto-calibrate the sparse/dense crossover on first reset."""
 
     def reset(self, batch_size: int, dtype: DTypeLike = None, backend=None) -> None:
         super().reset(batch_size, dtype, backend)
@@ -278,15 +238,9 @@ class _SpikingNeuronLayer(SpikingLayer):
         self.threshold.reset(shape, dtype=self.dtype, backend=self.ops)
         # positivity is settled once per reset, not re-checked on every step
         self.state.reset(thresholds_positive=self.threshold.positive_by_construction())
-        exact_only = self.dtype == np.float64
-        if self.dispatcher is None:
-            self.dispatcher = SparsityDispatcher(self.name, exact_only=exact_only)
-        else:
-            self.dispatcher.exact_only = exact_only
         self.dispatcher.reset()
         self._z_cache = None if self._input_period is None else [None] * self._input_period
         self._prepare_buffers(batch_size)
-        self._calibrate_dispatcher()
 
     def enable_input_caching(self, period: Optional[int]) -> None:
         """Cache the synaptic input per phase of a ``period``-periodic drive.
@@ -323,15 +277,31 @@ class _SpikingNeuronLayer(SpikingLayer):
             ]
         self._prepare_buffers(self.batch_size)
 
-    def _synaptic_input(self, incoming: np.ndarray) -> np.ndarray:
+    def _check_incoming(self, incoming: np.ndarray) -> None:
+        """Raise :class:`ValueError` when ``incoming`` has the wrong shape."""
         raise NotImplementedError
+
+    def _dense_input(self, incoming: np.ndarray) -> np.ndarray:
+        """``W · incoming + bias_scale · b`` by the layer's dense kernel."""
+        raise NotImplementedError
+
+    def _synaptic_input(
+        self, incoming: np.ndarray, nonzero: Optional[int] = None
+    ) -> np.ndarray:
+        """The step's synaptic input: the precomputed bias response when
+        ``incoming`` is all zero (exact in every dtype), the dense kernel
+        otherwise.  ``nonzero`` is the engine's exact count, when known."""
+        self._check_incoming(incoming)
+        if self.dispatcher.choose(self.ops, incoming, nonzero) == sparsity.EMPTY:
+            return self._z_empty
+        return self._dense_input(incoming)
 
     def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
         if self.state is None:
             raise RuntimeError(f"{self.name}: reset(batch_size) must be called before step()")
-        self._incoming_nonzero = incoming_nonzero
+        incoming = np.asarray(incoming)
         cache = self._z_cache
         if cache is not None:
             phase = t % self._input_period
@@ -339,10 +309,10 @@ class _SpikingNeuronLayer(SpikingLayer):
             if z is None:
                 # np.array copies the (possibly strided) result into a private
                 # contiguous block that survives future steps
-                z = np.array(self._synaptic_input(np.asarray(incoming)))
+                z = np.array(self._synaptic_input(incoming, incoming_nonzero))
                 cache[phase] = z
         else:
-            z = self._synaptic_input(np.asarray(incoming))
+            z = self._synaptic_input(incoming, incoming_nonzero)
         thresholds = self.threshold.thresholds(t)
         spikes, amplitudes = self.state.step(z, thresholds)
         self.threshold.update(
@@ -398,9 +368,6 @@ class SpikingDense(_SpikingNeuronLayer):
         self._w_sim: Optional[np.ndarray] = None
         self._scaled_bias: Optional[np.ndarray] = None
         self._z: Optional[np.ndarray] = None
-        self._z_empty: Optional[np.ndarray] = None
-        self._xa_flat: Optional[np.ndarray] = None
-        self._wa_flat: Optional[np.ndarray] = None
 
     @property
     def in_features(self) -> int:
@@ -421,7 +388,7 @@ class SpikingDense(_SpikingNeuronLayer):
         ops = self.ops
         if self.backend_changed:
             # buffers built by the previous backend must not leak into this run
-            self._z = self._xa_flat = self._wa_flat = self._z_empty = None
+            self._z = self._z_empty = None
         self._w_sim = _cast_cached(self._cast_cache, "weight", self.weight, self.dtype)
         if self.bias is not None:
             self._scaled_bias = _cast_cached(
@@ -429,49 +396,10 @@ class SpikingDense(_SpikingNeuronLayer):
             )
         if self._z is None or self._z.shape != (batch_size, self.out_features) or self._z.dtype != self.dtype:
             self._z = ops.empty((batch_size, self.out_features), self.dtype)
-            # gather-path input accumulator: flat scratch carved into (N, a)
-            # views for the step's active-feature count a
-            self._xa_flat = ops.empty((batch_size * self.in_features,), self.dtype)
-        if self._wa_flat is None or self._wa_flat.dtype != self.dtype:
-            # weight gather scratch is batch-independent: rebuild on dtype only
-            self._wa_flat = ops.empty((self.in_features * self.out_features,), self.dtype)
         if self._z_empty is None or self._z_empty.shape != self._z.shape or self._z_empty.dtype != self.dtype:
             self._z_empty = ops.zeros((batch_size, self.out_features), self.dtype)
             if self._scaled_bias is not None:
                 ops.add_inplace(self._z_empty, self._scaled_bias)
-
-    def _calibrate_dispatcher(self) -> None:
-        dispatcher = self.dispatcher
-        assert dispatcher is not None
-        if dispatcher.exact_only or dispatcher.forced is not None:
-            return
-        batch = self.batch_size or 1
-        # keyed by backend: crossovers timed on one backend's kernels must
-        # never steer another backend's dispatch (see repro.utils.sparsity)
-        cache_key = (
-            "dense", self.ops.name, self.sparsity_cache_tag, batch,
-            self.in_features, self.out_features, str(self.dtype),
-        )
-        rng = np.random.default_rng(0)
-
-        def make_input(fraction: float) -> np.ndarray:
-            # feature-structured probe: the dispatch metric is the fraction of
-            # *features* active anywhere in the batch, which is what the
-            # gather path's cost scales with
-            count = max(1, int(round(fraction * self.in_features)))
-            features = rng.choice(self.in_features, size=count, replace=False)
-            x = np.zeros((batch, self.in_features), dtype=self.dtype)
-            x[:, features] = np.asarray(
-                (rng.random((batch, count)) < 0.5) * 0.125, dtype=self.dtype
-            )
-            return x
-
-        dispatcher.calibrate(
-            cache_key,
-            self._dense_input,
-            lambda x: self._sparse_input(x, self.ops.active_features(x)),
-            make_input,
-        )
 
     def _dense_input(self, incoming: np.ndarray) -> np.ndarray:
         z = self._z
@@ -482,51 +410,12 @@ class SpikingDense(_SpikingNeuronLayer):
             ops.add_inplace(z, self._scaled_bias)
         return z
 
-    def _sparse_input(self, incoming: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """Gather-matmul over the active input features.
-
-        ``incoming[:, active] @ W[active, :]`` with the gathered operands and
-        the output written into preallocated accumulators; features silent
-        across the whole batch contribute exactly zero and are skipped.
-        """
-        count = int(active.size)
-        if count == 0:
-            return self._z_empty
-        if count == self.in_features:
-            return self._dense_input(incoming)
-        batch = incoming.shape[0]
-        assert self._xa_flat is not None and self._wa_flat is not None
-        ops = self.ops
-        gathered_x = self._xa_flat[: batch * count].reshape(batch, count)
-        gathered_w = self._wa_flat[: count * self.out_features].reshape(count, self.out_features)
-        ops.take(incoming, active, 1, gathered_x)
-        ops.take(self._w_sim, active, 0, gathered_w)
-        z = self._z
-        assert z is not None
-        ops.matmul(gathered_x, gathered_w, z)
-        if self._scaled_bias is not None:
-            ops.add_inplace(z, self._scaled_bias)
-        return z
-
-    def _synaptic_input(self, incoming: np.ndarray) -> np.ndarray:
+    def _check_incoming(self, incoming: np.ndarray) -> None:
         if incoming.ndim != 2 or incoming.shape[1] != self.in_features:
             raise ValueError(
                 f"{self.name}: expected incoming shape (N, {self.in_features}), "
                 f"got {incoming.shape}"
             )
-        dispatcher = self.dispatcher
-        assert dispatcher is not None
-        decision = self._hinted_decision(incoming)  # EMPTY / DENSE / None
-        if decision is None:
-            # dispatch metric: fraction of input features active anywhere in
-            # the batch — the gather path's cost driver, exact for emptiness
-            active = self.ops.active_features(incoming)
-            decision = dispatcher.choose(active.size / self.in_features)
-            if decision == sparsity.SPARSE:
-                return self._sparse_input(incoming, active)
-        if decision == sparsity.EMPTY:
-            return self._z_empty
-        return self._dense_input(incoming)
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (self.out_features,)
@@ -535,20 +424,18 @@ class SpikingDense(_SpikingNeuronLayer):
 class SpikingConv2D(_SpikingNeuronLayer):
     """Convolutional spiking layer (channel-first).
 
-    Three propagation kernels back the layer, selected per step by its
-    :class:`~repro.utils.sparsity.SparsityDispatcher`:
+    A step whose input is all zero takes the precomputed bias response (see
+    :class:`~repro.utils.sparsity.SparsityDispatcher`); any other step runs
+    one of two dense kernels, fixed by the dtype and stride:
 
     * **canonical** — cached :class:`~repro.ann.im2col.Im2colPlan` fill + one
-      GEMM, bit-identical to the seed engine (the float64 exact path);
+      GEMM, bit-identical to the seed engine (float64, and float32 strided
+      convolutions);
     * **direct** — a stride-1 :class:`~repro.ann.im2col.DirectConvPlan` that
-      skips the column materialisation; the float32 dense path.  Inputs of
-      at most four channels run one GEMM over a panel of every tap window
-      (the per-tap GEMMs would be rank 1–3 and BLAS-overhead bound), wider
-      ones one accumulating GEMM per kernel tap over a padded halo buffer;
-    * **sparse** — the direct plan packed down to the input channels that
-      carry at least one spike this step (the sparse-column path), entered
-      when the measured activity falls below the layer's auto-calibrated
-      crossover.
+      skips the column materialisation (float32).  Inputs of at most four
+      channels run one GEMM over a panel of every tap window (the per-tap
+      GEMMs would be rank 1–3 and BLAS-overhead bound), wider ones one
+      accumulating GEMM per kernel tap over a padded halo buffer.
 
     All buffers are built lazily per (batch, dtype) geometry and reused
     across steps.
@@ -603,11 +490,9 @@ class SpikingConv2D(_SpikingNeuronLayer):
         self._direct: Optional[DirectConvPlan] = None
         self._wmat_t: Optional[np.ndarray] = None
         self._taps: Optional[np.ndarray] = None
-        self._taps_scratch_flat: Optional[np.ndarray] = None
         self._scaled_bias: Optional[np.ndarray] = None
         self._z2d: Optional[np.ndarray] = None
         self._z4: Optional[np.ndarray] = None
-        self._z_empty: Optional[np.ndarray] = None
 
     @property
     def out_channels(self) -> int:
@@ -625,24 +510,16 @@ class SpikingConv2D(_SpikingNeuronLayer):
     def _state_shape(self, batch_size: int) -> Tuple[int, ...]:
         return (batch_size,) + self._out_shape
 
-    @property
-    def _direct_available(self) -> bool:
-        """The direct (halo) plan covers every stride-1 convolution."""
-        return self.stride == 1
-
     def _prepare_buffers(self, batch_size: int) -> None:
         out_c, out_h, out_w = self._out_shape
         ops = self.ops
         if self.backend_changed:
             # plans and buffers built by the previous backend must not leak
             self._plan = self._direct = None
-            self._z2d = self._z4 = self._z_empty = self._taps_scratch_flat = None
+            self._z2d = self._z4 = self._z_empty = None
         wmat = _cast_cached(self._cast_cache, "weight_matrix", self._weight_matrix, self.dtype)
         self._wmat_t = wmat.T
         self._taps = _cast_cached(self._cast_cache, "taps", self._tap_master, self.dtype)
-        if self._taps_scratch_flat is None or self._taps_scratch_flat.dtype != self.dtype:
-            # gather scratch for the sparse path's channel-packed tap stack
-            self._taps_scratch_flat = ops.empty((self._taps.size,), self.dtype)
         if self.bias is not None:
             self._scaled_bias = _cast_cached(
                 self._cast_cache, "scaled_bias", self.bias_scale * self.bias, self.dtype
@@ -686,43 +563,6 @@ class SpikingConv2D(_SpikingNeuronLayer):
             )
         return self._direct
 
-    def _calibrate_dispatcher(self) -> None:
-        dispatcher = self.dispatcher
-        assert dispatcher is not None
-        if (
-            dispatcher.exact_only
-            or not self._direct_available
-            or dispatcher.forced is not None
-        ):
-            return
-        batch = self.batch_size or 1
-        # keyed by backend, like the dense layer's crossover cache
-        cache_key = (
-            "conv", self.ops.name, self.sparsity_cache_tag, batch,
-            self.input_shape, self.kernel_size,
-            self.stride, self.padding, self.out_channels, str(self.dtype),
-        )
-        rng = np.random.default_rng(0)
-        channels = self.input_shape[0]
-
-        def make_input(fraction: float) -> np.ndarray:
-            # channel-structured probe: the dispatch metric is the fraction of
-            # input channels carrying any spike, which is what the packed
-            # (sparse-column) path's cost scales with
-            count = max(1, int(round(fraction * channels)))
-            chosen = rng.choice(channels, size=count, replace=False)
-            x = np.zeros((batch,) + self.input_shape, dtype=self.dtype)
-            plane = (batch, count) + self.input_shape[1:]
-            x[:, chosen] = np.asarray((rng.random(plane) < 0.2) * 0.125, dtype=self.dtype)
-            return x
-
-        dispatcher.calibrate(
-            cache_key,
-            self._dense_input,
-            lambda x: self._sparse_input(x, self.ops.active_channels(x)),
-            make_input,
-        )
-
     def _canonical_input(self, incoming: np.ndarray) -> np.ndarray:
         plan = self._canonical_plan()
         assert self._z2d is not None and self._z4 is not None
@@ -735,52 +575,18 @@ class SpikingConv2D(_SpikingNeuronLayer):
 
     def _dense_input(self, incoming: np.ndarray) -> np.ndarray:
         # float64 is the exact-match reference precision: stay on the
-        # canonical im2col pipeline there (see repro.utils.sparsity)
-        if self.dtype == np.float64 or not self._direct_available:
+        # canonical im2col pipeline there (the direct plan reassociates)
+        if self.dtype == np.float64 or self.stride != 1:
             return self._canonical_input(incoming)
         return self._direct_plan().run(incoming, self._taps, self._scaled_bias)
 
-    def _sparse_input(self, incoming: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """Sparse-column path: lift and multiply only the input channels that
-        carry at least one spike this step."""
-        count = int(active.size)
-        if count == 0:
-            return self._z_empty
-        if count == incoming.shape[1]:
-            return self._direct_plan().run(incoming, self._taps, self._scaled_bias)
-        assert self._taps is not None and self._taps_scratch_flat is not None
-        kk = self.kernel_size * self.kernel_size
-        taps = self._taps_scratch_flat[: kk * count * self.out_channels].reshape(
-            kk, count, self.out_channels
-        )
-        self.ops.take(self._taps, active, 1, taps)
-        return self._direct_plan().run(
-            incoming, taps, self._scaled_bias, active_channels=active
-        )
-
-    def _synaptic_input(self, incoming: np.ndarray) -> np.ndarray:
+    def _check_incoming(self, incoming: np.ndarray) -> None:
         expected_c = self.input_shape[0]
         if incoming.ndim != 4 or incoming.shape[1] != expected_c:
             raise ValueError(
                 f"{self.name}: expected incoming shape (N, {expected_c}, H, W), "
                 f"got {incoming.shape}"
             )
-        dispatcher = self.dispatcher
-        assert dispatcher is not None
-        decision = self._hinted_decision(incoming)  # EMPTY / DENSE / None
-        if decision is None:
-            # dispatch metric: fraction of input channels carrying any spike —
-            # a cheap reduction that doubles as the sparse path's channel list
-            # and is exact for empty detection (no active channel ⟺ all zero)
-            active = self.ops.active_channels(incoming)
-            decision = dispatcher.choose(
-                active.size / expected_c, sparse_available=self._direct_available
-            )
-            if decision == sparsity.SPARSE:
-                return self._sparse_input(incoming, active)
-        if decision == sparsity.EMPTY:
-            return self._z_empty
-        return self._dense_input(incoming)
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         c, h, w = input_shape
@@ -806,9 +612,7 @@ class SpikingAvgPool2D(SpikingLayer):
         self._shape: Optional[Tuple[int, int, int, int]] = None
         self._out: Optional[np.ndarray] = None
         self._mean_flat: Optional[np.ndarray] = None
-        # pooling has no cheaper kernel for nonzero input, so the dispatcher
-        # only contributes the (exact) empty-step shortcut
-        self.dispatcher = SparsityDispatcher(name, exact_only=True)
+        self.dispatcher = SparsityDispatcher(name)
 
     def reset(self, batch_size: int, dtype: DTypeLike = None, backend=None) -> None:
         super().reset(batch_size, dtype, backend)
@@ -857,12 +661,7 @@ class SpikingAvgPool2D(SpikingLayer):
         out = self._out
         assert out is not None
         ops = self.ops
-        fraction = (
-            incoming_nonzero / incoming.size
-            if incoming_nonzero is not None
-            else ops.count_nonzero(incoming) / incoming.size
-        )
-        if self.dispatcher.choose(fraction, sparse_available=False) == sparsity.EMPTY:
+        if self.dispatcher.choose(ops, incoming, incoming_nonzero) == sparsity.EMPTY:
             # pooling an all-zero step is exactly zero in every dtype
             ops.fill(out, 0.0)
             return out
@@ -903,7 +702,7 @@ class SpikingMaxPool2D(SpikingLayer):
         self._cumulative: Optional[np.ndarray] = None
         self._plan: Optional[Im2colPlan] = None
         self._steps_seen = 0
-        self.dispatcher = SparsityDispatcher(name, exact_only=True)
+        self.dispatcher = SparsityDispatcher(name)
         # gather machinery (built with the plan)
         self._winners: Optional[np.ndarray] = None
         self._ky: Optional[np.ndarray] = None
@@ -984,12 +783,7 @@ class SpikingMaxPool2D(SpikingLayer):
         plan = self._plan
         ops = self.ops
         assert cumulative is not None and plan is not None
-        fraction = (
-            incoming_nonzero / incoming.size
-            if incoming_nonzero is not None
-            else ops.count_nonzero(incoming) / incoming.size
-        )
-        if self.dispatcher.choose(fraction, sparse_available=False) == sparsity.EMPTY:
+        if self.dispatcher.choose(ops, incoming, incoming_nonzero) == sparsity.EMPTY:
             # nothing spiked: the cumulative evidence is unchanged, and every
             # window's winner forwards an amplitude of exactly zero
             assert self._gated is not None

@@ -21,8 +21,8 @@ per input neuron per window).
 
 Like the phase and real encoders, the TTFS output is strictly periodic
 (:attr:`TTFSEncoder.steady_period` equals the window), so it inherits the
-engine's per-phase synaptic-input caching, plan reuse, sparsity dispatch and
-converged-image early exit without any code of its own — every scheme that
+engine's per-phase synaptic-input caching, plan reuse, the empty-step
+shortcut and converged-image early exit without any code of its own — every scheme that
 registers gets the substrate for free.
 """
 

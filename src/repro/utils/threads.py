@@ -1,6 +1,6 @@
 """Single-threaded BLAS scopes for the engine's numerical work.
 
-The engine's GEMMs are many and small (gathered spike rows, per-step conv
+The engine's GEMMs are many and small (per-step spike rows and conv
 patches), so OpenBLAS thread hand-offs cost more than they save, and a
 threaded GEMM reassociates its sums, which moves float64 results by ULPs.
 :func:`single_blas_thread` pins the OpenBLAS that numpy loaded to one thread

@@ -1,6 +1,6 @@
 """Backend registry, resolution and cross-backend parity (golden suite).
 
-Five layers of guarantees:
+Four layers of guarantees:
 
 * the registry plumbing — registration, did-you-mean errors, env var /
   override / explicit-config resolution order, clean unavailability of
@@ -13,8 +13,6 @@ Five layers of guarantees:
   bit-for-bit the engine default, in both dtypes, so the seed golden
   reference (``benchmarks/perf/seed_reference.json``, enforced by
   ``tests/test_dtype_policy.py``) pins this backend's float64 outputs;
-* the calibration-cache keying — sparsity crossovers are cached per backend
-  so mixed-backend processes cannot cross-contaminate dispatch decisions;
 * the **seam contract** — per layer type × threshold dynamics, one ``step``
   calls exactly the expected multiset of backend primitives.
 """
@@ -195,53 +193,6 @@ class TestNumpyReferenceBitIdentity:
         assert np.array_equal(a.output_history, b.output_history)
 
 
-class TestCalibrationCacheKeying:
-    def test_crossover_cache_is_keyed_by_backend(self, parity_snn_factory, tiny_color_split):
-        """Resetting the same geometry under two backends must create two
-        cache entries (never share one timing-probed crossover)."""
-        from repro.utils.sparsity import (
-            calibration_cache_snapshot,
-            clear_calibration_cache,
-        )
-
-        clear_calibration_cache()
-        try:
-            x = tiny_color_split.test.x[:4]
-            snn = parity_snn_factory("phase-burst")
-            config = SimulationConfig(time_steps=4, dtype="float32")
-            snn.run(x, config.replace(backend="numpy"))
-            keys_numpy = set(calibration_cache_snapshot())
-            snn.run(x, config.replace(backend="numpy-blocked"))
-            keys_both = set(calibration_cache_snapshot())
-            assert keys_numpy, "float32 reset must calibrate at least one layer"
-            assert all("numpy" in key for key in keys_numpy)
-            added = keys_both - keys_numpy
-            assert added and all("numpy-blocked" in key for key in added)
-        finally:
-            clear_calibration_cache()
-
-    def test_layer_cache_key_carries_backend_name(self):
-        """The dispatcher cache key a layer builds includes its backend."""
-        from repro.snn.layers import SpikingDense
-        from repro.snn.thresholds import BurstThreshold
-        from repro.utils.sparsity import (
-            calibration_cache_snapshot,
-            clear_calibration_cache,
-        )
-
-        rng = np.random.default_rng(0)
-        layer = SpikingDense(
-            rng.normal(size=(32, 16)), None, BurstThreshold(v_th=0.125)
-        )
-        clear_calibration_cache()
-        try:
-            layer.reset(4, dtype="float32", backend="numpy-blocked")
-            keys = list(calibration_cache_snapshot())
-            assert keys and any("numpy-blocked" in key for key in keys)
-        finally:
-            clear_calibration_cache()
-
-
 class TestBlockedBackendKernels:
     def test_tiled_matmul_matches_monolithic(self):
         from repro.backends.blocked import BlockedNumpyBackend
@@ -364,8 +315,7 @@ class TestStepSeamContract:
     def test_unhinted_step_scans_activity(self, kind):
         layer, x = _neuron_layer(kind, "rate")
         counts = self._counted_step(layer, x, hint=None)
-        scan = "active_features" if kind == "dense" else "active_channels"
-        assert counts == {scan: 1, "matmul": 1, "add_inplace": 1, "if_step": 1}
+        assert counts == {"count_nonzero": 1, "matmul": 1, "add_inplace": 1, "if_step": 1}
 
     def test_pooling_flatten_and_output_steps(self):
         from repro.snn.layers import (
@@ -391,30 +341,6 @@ class TestStepSeamContract:
         assert self._counted_step(output, np.ones((2, 8)), hint=16) == {
             "matmul": 1, "add_inplace": 2,
         }
-
-    @pytest.mark.parametrize("kind", ["dense", "conv"])
-    def test_auto_sparse_mode_keeps_the_hint_shortcut(self, kind, monkeypatch):
-        """``REPRO_SPARSE_MODE=auto`` behaves exactly like unset: a hinted
-        empty or full step is decided without an activity scan."""
-        monkeypatch.setenv("REPRO_SPARSE_MODE", "auto")
-        layer, x = _neuron_layer(kind, "burst")
-        full = self._counted_step(layer, x, hint=x.size, dtype="float32")
-        empty = self._counted_step(layer, np.zeros_like(x), hint=0, dtype="float32")
-        for counts in (full, empty):
-            assert counts.get("active_features", 0) == 0
-            assert counts.get("active_channels", 0) == 0
-
-    def test_bogus_sparse_mode_fails_at_reset(self, monkeypatch):
-        from repro.snn.layers import SpikingAvgPool2D
-
-        layer, x = _neuron_layer("dense", "rate")
-        pool = SpikingAvgPool2D(2)
-        monkeypatch.setenv("REPRO_SPARSE_MODE", "bogus")
-        # construction never reads the environment; only reset parses it
-        late_pool = SpikingAvgPool2D(2)
-        for target in (layer, pool, late_pool):
-            with pytest.raises(ValueError, match="REPRO_SPARSE_MODE"):
-                target.reset(x.shape[0], dtype="float64")
 
     def test_minimal_backend_runs_the_layer_steps(self):
         """A backend that only implements the seam primitives runs every

@@ -1,13 +1,12 @@
 """Contract tests for :class:`~repro.ann.im2col.DirectConvPlan`.
 
 The plan is the float32 convolution kernel of every stride-1 spiking conv
-layer.  It picks one of two kernels from the packed input width alone (the
+layer.  It picks one of two kernels from the input channel count alone (the
 single-GEMM panel up to ``_PANEL_MAX_CHANNELS`` channels, one accumulating
 GEMM per tap above), so these tests pin:
 
 * parity with the canonical :class:`~repro.ann.im2col.Im2colPlan` fill plus
-  one GEMM, on both sides of the width crossing, packed or not;
-* that one plan can switch packed widths and come back bit for bit;
+  one GEMM, on both sides of the channel crossing;
 * that the result is a pure function of the geometry: two plans agree bit
   for bit, and nothing is timed to pick a kernel.
 """
@@ -73,58 +72,25 @@ def test_matches_im2col_gemm(channels, kernel, padding, batch):
     assert_close(out, expected)
 
 
-@pytest.mark.parametrize("active", [[1, 6], [0, 2, 3, 4, 5, 7]], ids=["panel", "accumulate"])
-def test_packed_channels_match_im2col_gemm(active):
-    """Packing an 8-channel input to its active channels equals convolving
-    the input with every other channel silenced."""
-    x, weight, bias = make_case(4, 8, 3, seed=1)
-    active = np.array(active)
-    silenced = np.zeros_like(x)
-    silenced[:, active] = x[:, active]
-    plan = build_plan(x, 3, 1)
-    out = plan.run(silenced, taps_of(weight)[:, active], bias, active_channels=active)
-    assert_close(out, reference(silenced, weight, bias, 1))
-
-
 @pytest.mark.parametrize("kernel", [3, 5])
-def test_kernel_follows_packed_width(kernel, monkeypatch):
-    """Widths up to the crossing run the panel; wider ones accumulate."""
+def test_kernel_follows_the_input_channel_count(kernel, monkeypatch):
+    """Plans for up to the crossing's channels run the panel; wider ones
+    accumulate."""
     crossing = im2col_module._PANEL_MAX_CHANNELS
-    x, weight, bias = make_case(2, 8, kernel)
-    plan = build_plan(x, kernel, 1)
-    taps = taps_of(weight)
-    calls = []
-    for name in ("_run_panel", "_run_accumulate"):
-        original = getattr(plan, name)
+    for channels in range(1, 9):
+        x, weight, bias = make_case(2, channels, kernel)
+        plan = build_plan(x, kernel, 1)
+        calls = []
+        for name in ("_run_panel", "_run_accumulate"):
+            original = getattr(plan, name)
 
-        def record(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
+            def record(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(plan, name, record)
-    for width in range(1, 9):
-        active = np.arange(width)
-        plan.run(x, taps[:, active], bias, active_channels=active)
-        assert calls[-1] == ("_run_panel" if width <= crossing else "_run_accumulate")
-
-
-def test_switching_widths_reproduces_the_first_run():
-    """full → packed 2 (panel) → packed 6 (accumulate) → full: the plan
-    re-carves its scratch per width and the last run equals the first bit
-    for bit.  ``run`` returns the plan's buffer, so each output is copied."""
-    x, weight, bias = make_case(4, 8, 3, seed=2)
-    taps = taps_of(weight)
-    plan = build_plan(x, 3, 2)
-    first = plan.run(x, taps, bias).copy()
-    outputs = []
-    for active in (np.array([3, 5]), np.array([0, 1, 2, 4, 6, 7])):
-        outputs.append(plan.run(x, taps[:, active], bias, active_channels=active).copy())
-        silenced = np.zeros_like(x)
-        silenced[:, active] = x[:, active]
-        assert_close(outputs[-1], reference(silenced, weight, bias, 2))
-    last = plan.run(x, taps, bias)
-    assert np.array_equal(first, last)
-    assert_close(first, reference(x, weight, bias, 2))
+            monkeypatch.setattr(plan, name, record)
+        plan.run(x, taps_of(weight), bias)
+        assert calls == ["_run_panel" if channels <= crossing else "_run_accumulate"]
 
 
 @pytest.mark.parametrize("channels", [2, 8])
@@ -137,8 +103,8 @@ def test_two_plans_of_one_geometry_agree_bit_for_bit(channels):
 
 
 def test_narrow_plan_never_allocates_the_halo():
-    """Each kernel allocates its scratch on first use: a 3-channel plan only
-    ever runs the panel."""
+    """A plan allocates only its own kernel's scratch: a 3-channel plan
+    only ever runs the panel."""
     x, weight, bias = make_case(2, 3, 3)
     plan = build_plan(x, 3, 1)
     plan.run(x, taps_of(weight), bias)
@@ -147,7 +113,7 @@ def test_narrow_plan_never_allocates_the_halo():
 
 def test_no_timer_picks_the_kernel(monkeypatch):
     """Building and running a plan of a geometry no other test uses must
-    not read the clock: the kernel is a function of the packed width."""
+    not read the clock: the kernel is a function of the geometry."""
 
     def no_clock():
         raise AssertionError("DirectConvPlan read the clock")

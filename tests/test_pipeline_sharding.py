@@ -86,11 +86,19 @@ class TestShardedEquality:
         self, trained_cnn, tiny_color_split, scheme, monkeypatch
     ):
         """Real worker processes (forced past the 1-CPU guard) reproduce the
-        sequential statistics exactly — the merge is deterministic."""
+        sequential statistics exactly — the merge is deterministic.  Ten
+        images at batch 4 shard as (0, 8) and (8, 10): the ragged last batch
+        runs in a worker and must still match bit for bit."""
         monkeypatch.setenv("REPRO_FORCE_SHARDING", "1")
-        sequential = _pipeline(trained_cnn, tiny_color_split).run_scheme(scheme)
-        sharded = _pipeline(trained_cnn, tiny_color_split, num_workers=2).run_scheme(scheme)
-        _runs_equal(sequential, sharded)
+        for max_test_images in (8, 10):
+            sequential = _pipeline(
+                trained_cnn, tiny_color_split, max_test_images=max_test_images
+            ).run_scheme(scheme)
+            sharded = _pipeline(
+                trained_cnn, tiny_color_split, max_test_images=max_test_images, num_workers=2
+            ).run_scheme(scheme)
+            assert sharded.num_images == max_test_images
+            _runs_equal(sequential, sharded)
 
     def test_sharded_with_early_exit(self, trained_cnn, tiny_color_split, scheme, monkeypatch):
         monkeypatch.setenv("REPRO_FORCE_SHARDING", "1")
