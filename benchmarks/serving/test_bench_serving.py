@@ -141,7 +141,6 @@ def load_curve(serving_workload):
             serving_workload.data.train.x,
             ServingConfig(
                 max_batch_size=BURST_SIZE,
-                max_wait_ms=5.0,
                 max_queue=max(64, NUM_REQUESTS),
                 num_replicas=num_replicas,
                 time_steps=TIME_STEPS,
@@ -263,7 +262,6 @@ def test_burst_overload_is_shed_with_429(serving_workload):
         serving_workload.data.train.x,
         ServingConfig(
             max_batch_size=2,
-            max_wait_ms=0.0,
             max_queue=2,
             time_steps=TIME_STEPS,
             seed=0,

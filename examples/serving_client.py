@@ -8,8 +8,9 @@ workload, then answers the same set of classify requests two ways:
    shared session, the way independent callers without a serving layer
    would;
 2. **concurrent clients through the micro-batching scheduler** — requests
-   submitted together, coalesced into batches of up to ``max_batch_size``,
-   one simulation serving several requests.
+   submitted together queue while the replica is busy and ride together in
+   its next batch (up to ``max_batch_size``), one simulation serving
+   several requests.
 
 The printed metrics show the batch-size histogram (proof the scheduler
 coalesced) and the wall-clock amortisation; the predictions are identical in
@@ -49,9 +50,7 @@ def main() -> None:
     engine = ServingEngine(
         workload.model,
         workload.data.train.x,
-        ServingConfig(
-            max_batch_size=8, max_wait_ms=25.0, time_steps=TIME_STEPS, seed=0
-        ),
+        ServingConfig(max_batch_size=8, time_steps=TIME_STEPS, seed=0),
     )
     engine.warm(SCHEME)
 
@@ -63,13 +62,14 @@ def main() -> None:
     # so every one of these rode in a batch of exactly 1
     assert all(result.batch_size == 1 for result in sequential)
 
-    # -- concurrent clients: submit everything, let the scheduler batch ----
+    # -- concurrent clients: requests queued behind a busy replica batch up -
     started = time.perf_counter()
     futures = [engine.classify(image, SCHEME) for image in images]
     batched = [future.result(timeout=120) for future in futures]
     batched_s = time.perf_counter() - started
 
     assert [r.prediction for r in batched] == [r.prediction for r in sequential]
+    assert engine.metrics.max_batch_size_seen() > 1
     histogram = engine.metrics.batch_size_histogram()
     print(f"\n{NUM_REQUESTS} requests, {TIME_STEPS} steps, scheme {SCHEME}")
     print(f"sequential single-image runs : {sequential_s * 1000:8.1f} ms total")
@@ -104,7 +104,6 @@ def main() -> None:
         workload.data.train.x,
         ServingConfig(
             max_batch_size=8,
-            max_wait_ms=25.0,
             time_steps=TIME_STEPS,
             num_replicas=2,      # two sessions share one set of weight masters
             max_rps=2.0,         # per-client token bucket: 2 req/s ...

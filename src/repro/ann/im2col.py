@@ -95,18 +95,27 @@ def im2col(
     out_w = conv_output_size(w, kernel_w, stride, padding)
 
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+    else:
+        padded = np.ascontiguousarray(x)
 
-    # Strided sliding-window view: (N, C, out_h, out_w, kernel_h, kernel_w)
-    stride_n, stride_c, stride_h, stride_w = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel_h, kernel_w),
-        strides=(stride_n, stride_c, stride_h * stride, stride_w * stride, stride_h, stride_w),
-        writeable=False,
+    # A kernel row is ``kernel_w`` contiguous floats of the padded input, so
+    # the unfold copies whole rows as single opaque items: a strided
+    # (N, out_h, out_w, C, kernel_h) view of rows into the same-shaped view
+    # of the row-major columns.  The bytes are those of the element-wise
+    # copy, with a kernel_w-times longer inner loop.
+    row = np.dtype((np.void, kernel_w * padded.itemsize))
+    stride_n, stride_c, stride_h, stride_w = padded.strides
+    windows = np.ndarray(
+        (n, out_h, out_w, c, kernel_h),
+        dtype=row,
+        buffer=padded,
+        strides=(stride_n, stride_h * stride, stride_w * stride, stride_c, stride_h),
     )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel_h * kernel_w)
-    return np.ascontiguousarray(cols), out_h, out_w
+    cols = np.empty((n * out_h * out_w, c * kernel_h * kernel_w))
+    cols.view(row).reshape(n, out_h, out_w, c, kernel_h)[...] = windows
+    return cols, out_h, out_w
 
 
 def avgpool2x2(incoming: np.ndarray, out: np.ndarray) -> np.ndarray:

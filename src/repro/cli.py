@@ -148,9 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["mlp", "small_cnn", "cnn", "vgg_small", "vgg16"])
     serve.add_argument("--time-steps", type=int, default=100, help="simulation horizon per request")
     serve.add_argument("--max-batch-size", type=int, default=8,
-                       help="largest micro-batch the scheduler coalesces")
-    serve.add_argument("--max-wait-ms", type=float, default=5.0,
-                       help="longest a non-full batch waits before flushing")
+                       help="most queued requests a free replica takes as one batch")
     serve.add_argument("--max-queue", type=int, default=64,
                        help="admission-control bound per scheme queue (beyond it: 429)")
     serve.add_argument("--num-replicas", type=int, default=1,
@@ -367,7 +365,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     )
     config = ServingConfig(
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         max_queue=args.max_queue,
         num_replicas=args.num_replicas,
         max_rps=args.max_rps,
@@ -409,8 +406,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         f"repro serve listening on {server.url} "
         f"(workload {workload.name}, default scheme {schemes[0].notation}, "
         f"num_replicas={args.num_replicas}, "
-        f"max_batch_size={args.max_batch_size}, max_wait_ms={args.max_wait_ms}"
-        f"{limits})",
+        f"max_batch_size={args.max_batch_size}{limits})",
         flush=True,
     )
     server.serve_forever()

@@ -15,14 +15,16 @@ reference ``benchmarks/perf/seed_reference.json``); the float32 default
 Thread safety
 -------------
 :func:`execute` runs one prepared batch and holds no global state; the
-network it steps is single-flight (see :mod:`repro.engine.session`).
-:func:`simulate` pins the loaded OpenBLAS to one thread
-(:func:`repro.utils.threads.single_blas_thread`) around prepare and the step
-loop, so a threaded GEMM never reassociates a float64 sum and small GEMMs
-skip thread hand-offs.  The pin is process-wide while any scope is active
-and the caller's thread count is restored when the last one exits, also on
-an exception.  Parallelism is explicit: sharded evaluation workers
-(:func:`run_sharded`, each running through a session) and serving replicas.
+network it steps is single-flight (see :mod:`repro.engine.session`).  It
+pins the loaded OpenBLAS to one thread
+(:func:`repro.utils.threads.single_blas_thread`) around the step loop, so a
+threaded GEMM never reassociates a float64 sum and small GEMMs skip thread
+hand-offs.  Every caller gets the pin: :func:`simulate`, sessions and a
+direct ``execute(plan.prepare(x))`` alike (``prepare`` does no BLAS work).
+The pin is process-wide while any scope is active and the caller's thread
+count is restored when the last one exits, also on an exception.
+Parallelism is explicit: sharded evaluation workers (:func:`run_sharded`,
+each running through a session) and serving replicas.
 """
 
 from __future__ import annotations
@@ -42,11 +44,14 @@ logger = get_logger("engine.run")
 T = TypeVar("T")
 
 
+@single_blas_thread()
 def execute(prepared: PreparedBatch, labels: Optional[np.ndarray] = None) -> SimulationResult:
     """Run the step loop over a prepared batch and collect the result.
 
-    ``prepared`` is consumed: the encoder/layer state it bound is advanced by
-    the loop, so prepare a fresh batch (``plan.prepare``) for the next run.
+    The loop runs with OpenBLAS pinned to one thread; the caller's count is
+    restored on return or raise.  ``prepared`` is consumed: the encoder/layer
+    state it bound is advanced by the loop, so prepare a fresh batch
+    (``plan.prepare``) for the next run.
     """
     plan = prepared.plan
     network = plan.network
@@ -188,8 +193,7 @@ def simulate(
     which reuses the plan across requests.
     """
     plan = plan_simulation(network, config)
-    with single_blas_thread():
-        return execute(plan.prepare(x), labels=labels)
+    return execute(plan.prepare(x), labels=labels)
 
 
 # -- shard orchestration -----------------------------------------------------

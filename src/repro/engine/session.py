@@ -35,11 +35,12 @@ weight masters across replicas (per-replica plan/scratch buffers, so
 replicas never contend on plan state) —
 or use the sharded evaluation path.
 
-Each :meth:`InferenceSession.run` pins the loaded OpenBLAS to one thread
-(:func:`repro.utils.threads.single_blas_thread`) around prepare and the step
-loop.  The pin is process-wide while any run is in flight: BLAS work in other
-threads runs single-threaded meanwhile.  When the last concurrent run
-returns (or raises), the caller's thread count is restored.
+Each :meth:`InferenceSession.run` executes its step loop with the loaded
+OpenBLAS pinned to one thread (:func:`repro.engine.run.execute` takes
+:func:`repro.utils.threads.single_blas_thread`).  The pin is process-wide
+while any run is in flight: BLAS work in other threads runs single-threaded
+meanwhile.  When the last concurrent run returns (or raises), the caller's
+thread count is restored.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from repro.engine.plan import SimulationPlan, plan_simulation
 from repro.engine.run import execute
 from repro.snn.network import SimulationConfig, SimulationResult, SpikingNetwork
 from repro.utils.rng import SeedLike
-from repro.utils.threads import single_blas_thread
 
 #: float64 master arrays shared across replica networks (read-only during
 #: simulation: runs cast them into per-replica buffers, never write them)
@@ -206,12 +206,11 @@ class InferenceSession:
 
         Safe to call from multiple threads: calls serialise on the session's
         internal lock (the prepare/execute pair mutates shared layer state,
-        so overlapping runs would corrupt each other's buffers).  The pair
-        runs with OpenBLAS pinned to one thread (see "Thread safety" above).
+        so overlapping runs would corrupt each other's buffers).  The step
+        loop runs with OpenBLAS pinned to one thread (see "Thread safety"
+        above).
         """
-        # the pin covers prepare too, so the whole batch, from the layer
-        # resets to the last step, runs its BLAS work on one thread
-        with self._run_lock, single_blas_thread():
+        with self._run_lock:
             result = execute(self.plan.prepare(x), labels=labels)
             self.batches_served += 1
             self.images_served += result.batch_size

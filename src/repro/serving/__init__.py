@@ -6,11 +6,12 @@ actual server: many concurrent clients share one prepared network per coding
 scheme, with their individual requests coalesced into micro-batches.
 
 * :mod:`repro.serving.scheduler` — the request queue + micro-batching
-  scheduler (:class:`MicroBatcher`): priority-ordered flush on
-  ``max_batch_size`` or ``max_wait_ms``, a worker pool (one thread per
-  session replica), bounded-queue admission control with
-  lowest-priority-first shedding and computed retry-after estimates,
-  graceful drain;
+  scheduler (:class:`MicroBatcher`): a worker pool (one thread per session
+  replica) where a free worker takes whatever is queued, up to
+  ``max_batch_size`` requests in priority order, and runs it at once, so
+  requests coalesce only while every worker is busy; bounded-queue
+  admission control with lowest-priority-first shedding and computed
+  retry-after estimates, graceful drain;
 * :mod:`repro.serving.limits` — per-client token-bucket rate limits and
   windowed quotas (:class:`ClientRateLimiter`), LRU-bounded and fake-clock
   testable;

@@ -9,8 +9,11 @@ examples and the HTTP front end all drive the same object:
   weight normalisation computed once and shared across schemes *and*
   replicas, float64 weight masters aliased across the pool) behind one
   priority-aware :class:`~repro.serving.scheduler.MicroBatcher` whose worker
-  pool runs one thread per replica — on a multi-core machine N replicas
-  simulate N micro-batches concurrently;
+  pool runs one thread per replica.  A free replica takes whatever is
+  queued, up to ``max_batch_size`` requests in priority order, and runs it
+  at once; requests arriving while every replica is busy ride together in
+  the next batch.  On a multi-core machine N replicas simulate N
+  micro-batches concurrently;
 * per-client admission control
   (:class:`~repro.serving.limits.ClientRateLimiter`): token-bucket rate
   limits (``max_rps`` / ``rate_burst``) and windowed quotas
@@ -26,10 +29,11 @@ examples and the HTTP front end all drive the same object:
 Every replica is converted from the same model under the same shared
 normalisation and runs the same configuration, and each is guarded by the
 batcher worker owning it plus the session's own single-flight lock — so
-float64 responses are bit-identical to running the same images through the
-pipeline / a fresh session in one batch, *whichever replica serves them*.
-Replication and micro-batching change *when* and *where* work happens, never
-*what* is computed.
+float64 responses are bit-identical to running the same batch through the
+pipeline / a fresh session, *whichever replica serves them*.  Which requests
+share a batch depends on arrival timing, and a batch of one can differ in
+the last bits from the same image inside a larger batch (BLAS may sum a
+one-row product in another order).
 """
 
 from __future__ import annotations
@@ -67,9 +71,7 @@ class ServingConfig(FrozenConfig):
     Attributes
     ----------
     max_batch_size:
-        Largest micro-batch the scheduler coalesces (flush trigger #1).
-    max_wait_ms:
-        Longest a non-full batch waits for company (flush trigger #2).
+        Most queued requests a free replica takes as one micro-batch.
     max_queue:
         Admission-control bound per scheme queue; submissions beyond it are
         rejected — or shed lowest-priority-first — with retry guidance
@@ -114,7 +116,6 @@ class ServingConfig(FrozenConfig):
     """
 
     max_batch_size: int = 8
-    max_wait_ms: float = 5.0
     max_queue: int = 64
     num_replicas: int = 1
     max_rps: Optional[float] = None
@@ -139,8 +140,6 @@ class ServingConfig(FrozenConfig):
         validate_positive("session_cache_size", self.session_cache_size)
         validate_positive("calibration_images", self.calibration_images)
         validate_positive("quota_window_s", self.quota_window_s)
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_rps is not None:
             validate_positive("max_rps", self.max_rps)
         if self.rate_burst is not None:
@@ -182,7 +181,6 @@ class _SchemeServer:
         self.batcher = MicroBatcher(
             self._run_batch,
             max_batch_size=config.max_batch_size,
-            max_wait_ms=config.max_wait_ms,
             max_queue=config.max_queue,
             num_workers=config.num_replicas,
             metrics=engine.metrics,
@@ -239,6 +237,10 @@ class _SchemeServer:
 class ServingEngine:
     """Serve classify requests for one model across registered schemes.
 
+    Each scheme's requests queue in one batcher; a replica that is free
+    takes the queued requests (up to ``max_batch_size``, priority first) as
+    one batch at once, so batches only grow while every replica is busy.
+
     Parameters
     ----------
     model:
@@ -252,8 +254,8 @@ class ServingEngine:
         Optional precomputed normalisation (skips ``calibration_x``).
     clock:
         Monotonic time source shared by the batchers and the rate limiter
-        (injectable so limiter refill and wait-window flushes are tested
-        with a fake clock).
+        (injectable so limiter refill and quota windows are tested with a
+        fake clock).
     """
 
     def __init__(
@@ -414,7 +416,6 @@ class ServingEngine:
         snapshot["runtime"] = blas_thread_info()
         snapshot["config"] = {
             "max_batch_size": self.config.max_batch_size,
-            "max_wait_ms": self.config.max_wait_ms,
             "max_queue": self.config.max_queue,
             "num_replicas": self.config.num_replicas,
             "time_steps": self.config.time_steps,

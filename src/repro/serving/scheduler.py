@@ -15,21 +15,19 @@ clients into batches handed to a pool of workers:
   the recent batch latency) that the HTTP layer surfaces as *429 Too Many
   Requests* with a ``Retry-After`` header.
 * ``num_workers`` **worker threads** (one per session replica) drain the
-  queue work-conservingly: each worker independently pulls the
-  highest-priority queued requests into a batch and flushes when either
-  ``max_batch_size`` requests have been collected or ``max_wait_ms`` has
-  elapsed since its batch opened — whichever comes first.  Under load every
-  replica stays busy and batches fill instantly; a lone request (of any
-  priority) pays at most the wait window.  The handler learns which replica
-  it is running on through :attr:`BatchInfo.replica`.
+  queue work-conservingly: a worker that is free takes whatever is queued
+  at that moment, up to ``max_batch_size`` requests in priority order, and
+  runs it at once.  Requests that arrive while every worker is busy queue
+  up and ride together in the next batch, so batches grow with the load,
+  and a request never waits beside an idle replica.  The handler learns
+  which replica it is running on through :attr:`BatchInfo.replica`.
 * **close** performs a graceful drain: no new submissions are admitted,
-  every queued request is still executed (flushed immediately, without
-  waiting out the batch window) across all workers, and every in-flight
-  future resolves.
+  every queued request is still executed across all workers, and every
+  in-flight future resolves.
 
 Time is read through an injectable ``clock`` (default
-:func:`time.monotonic`), so tests can drive the ``max_wait_ms`` flush with a
-fake clock instead of sleeping.
+:func:`time.monotonic`): it stamps queue waits, batch latencies and the
+replica utilisation gauge, and never decides when a batch runs.
 """
 
 from __future__ import annotations
@@ -137,9 +135,7 @@ class MicroBatcher:
         ``info.replica`` identifies the executing worker so handlers can
         route to per-replica state (e.g. one inference session per worker).
     max_batch_size:
-        Flush as soon as this many requests are collected.
-    max_wait_ms:
-        Flush a non-full batch this many milliseconds after it opened.
+        Most requests a free worker takes from the queue as one batch.
     max_queue:
         Admission-control bound on queued (not yet collected) requests.
     num_workers:
@@ -155,7 +151,6 @@ class MicroBatcher:
         handler: BatchHandler,
         *,
         max_batch_size: int = 8,
-        max_wait_ms: float = 5.0,
         max_queue: int = 64,
         num_workers: int = 1,
         metrics: Optional[ServerMetrics] = None,
@@ -165,15 +160,12 @@ class MicroBatcher:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self._handler = handler
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_ms) / 1000.0
         self.max_queue = int(max_queue)
         self.num_workers = int(num_workers)
         self.metrics = metrics or ServerMetrics()
@@ -282,8 +274,7 @@ class MicroBatcher:
         waves = -(-batches // self.num_workers)
         per_batch = self._recent_batch_s
         if per_batch is None:
-            # nothing measured yet: the wait window is the only latency floor
-            per_batch = max(self.max_wait_s, 0.05)
+            per_batch = 0.05  # nothing measured yet
         return max(0.05, waves * per_batch)
 
     def replica_utilisation(self) -> List[float]:
@@ -306,32 +297,20 @@ class MicroBatcher:
             self._execute(batch, replica)
 
     def _next_batch(self) -> Optional[List[_Item]]:
-        """Block until a batch is ready; ``None`` when closed and drained.
+        """Block until work is queued; ``None`` when closed and drained.
 
-        A batch opens when a worker pops the first queued request; it flushes
-        when full, when ``max_wait_ms`` has elapsed since it opened, or
-        immediately when the batcher is draining.  The wait loop re-reads the
-        clock every iteration, so an injected fake clock deterministically
-        expires the window without real sleeping.  Workers pull
-        highest-priority-first, so interactive requests overtake queued batch
-        work without starving it (ties keep submission order).
+        The batch is whatever is queued when the worker gets here, up to
+        ``max_batch_size`` requests, highest priority first (ties keep
+        submission order): interactive requests overtake queued batch work
+        without starving it.
         """
         with self._not_empty:
             while not self._heap:
                 if self._closed:
                     return None
-                self._not_empty.wait(0.05)
-            batch = [heapq.heappop(self._heap)]
-            deadline = self._clock() + self.max_wait_s
-            while len(batch) < self.max_batch_size:
-                if self._heap:
-                    batch.append(heapq.heappop(self._heap))
-                    continue
-                remaining = deadline - self._clock()
-                if remaining <= 0 or self._closed:
-                    break
-                self._not_empty.wait(min(remaining, 0.05))
-            return batch
+                self._not_empty.wait()
+            count = min(len(self._heap), self.max_batch_size)
+            return [heapq.heappop(self._heap) for _ in range(count)]
 
     def _execute(self, batch: List[_Item], replica: int) -> None:
         started = self._clock()
@@ -382,10 +361,9 @@ class MicroBatcher:
     def close(self, timeout: Optional[float] = 30.0) -> None:
         """Graceful drain: reject new work, flush the queue, join the pool.
 
-        Every request admitted before the close is still executed (the wait
-        window is skipped) and its future resolves — callers blocked on
-        results are released, never abandoned, whichever replica their batch
-        lands on.  Idempotent.
+        Every request admitted before the close is still executed and its
+        future resolves — callers blocked on results are released, never
+        abandoned, whichever replica their batch lands on.  Idempotent.
         """
         with self._not_empty:
             already = self._closed

@@ -21,15 +21,14 @@ import numpy as np
 import pytest
 
 import repro.conversion.normalization as normalization
-import repro.engine.run as engine_run
-import repro.engine.session as engine_session
 import repro.experiments.workloads as workloads
 import repro.utils.threads as threads
 from repro.backends import backend_scope
 from repro.conversion.normalization import normalize_weights
 from repro.core.hybrid import HybridCodingScheme
 from repro.engine.build import build_network
-from repro.engine.run import simulate
+from repro.engine.plan import plan_simulation
+from repro.engine.run import execute, simulate
 from repro.engine.session import InferenceSession
 from repro.experiments.sweep import make_pipeline
 from repro.models.mlp import build_mlp
@@ -72,14 +71,23 @@ def caller_threads():
         yield getter
 
 
+def _mnist_golden_case():
+    return next(
+        c for c in json.loads(GOLDEN_PATH.read_text())["cases"]
+        if c["name"] == "mnist-small_cnn"
+    )
+
+
+def _golden_scheme(notation):
+    v_th = 0.125 if notation.endswith("burst") else None
+    return HybridCodingScheme.from_notation(notation, v_th=v_th)
+
+
 @pytest.mark.skipif(not GOLDEN_PATH.exists(), reason="golden reference not recorded")
 def test_float64_golden_holds_with_two_blas_threads(monkeypatch):
     """The MNIST golden case, trained, normalised and simulated from scratch
     (an empty workload cache) while the caller's pool has 2 threads."""
-    case = next(
-        c for c in json.loads(GOLDEN_PATH.read_text())["cases"]
-        if c["name"] == "mnist-small_cnn"
-    )
+    case = _mnist_golden_case()
     monkeypatch.setattr(workloads, "_WORKLOAD_CACHE", {})
     with _caller_pool(2), backend_scope("numpy"), simulation_precision("float64"):
         workload = workloads.build_workload(
@@ -97,13 +105,48 @@ def test_float64_golden_holds_with_two_blas_threads(monkeypatch):
             seed=0,
         )
         for notation, expected in case["runs"].items():
-            v_th = 0.125 if notation.endswith("burst") else None
-            run = pipeline.run_scheme(HybridCodingScheme.from_notation(notation, v_th=v_th))
+            run = pipeline.run_scheme(_golden_scheme(notation))
             assert run.outputs_final.argmax(axis=1).tolist() == expected["predictions"], notation
             assert run.total_spikes == expected["total_spikes"], notation
             assert np.array_equal(
                 run.outputs_final, np.asarray(expected["final_logits"], dtype=np.float64)
             ), f"{notation}: float64 logits drifted under 2 BLAS threads"
+
+
+@pytest.mark.skipif(not GOLDEN_PATH.exists(), reason="golden reference not recorded")
+def test_float64_golden_through_a_direct_execute(monkeypatch):
+    """``execute(plan.prepare(x))`` called directly, with no session or
+    ``simulate`` around it, while the caller's pool has 2 threads: the step
+    loop reads 1 thread, the MNIST golden logits come out bit for bit, and
+    the caller's count is back afterwards."""
+    case = _mnist_golden_case()
+    with _caller_pool(2) as getter, backend_scope("numpy"), simulation_precision("float64"):
+        workload = workloads.build_workload(
+            dataset=case["dataset"],
+            model=case["model"],
+            samples_per_class=case["samples_per_class"],
+            epochs=case["epochs"],
+            seed=0,
+        )
+        pipeline = make_pipeline(
+            workload,
+            time_steps=case["time_steps"],
+            num_images=case["num_images"],
+            batch_size=case["num_images"],
+            seed=0,
+        )
+        x = workload.data.test.x[: case["num_images"]]
+        config = SimulationConfig(time_steps=case["time_steps"], seed=0)
+        for notation, expected in case["runs"].items():
+            network = pipeline.build_snn(_golden_scheme(notation))
+            seen = []
+            _probe(monkeypatch, network.layers[0], "step", getter, seen)
+            result = execute(plan_simulation(network, config).prepare(x))
+            assert seen and set(seen) == {1}, notation
+            assert getter() == 2
+            assert np.array_equal(
+                result.final_outputs, np.asarray(expected["final_logits"], dtype=np.float64)
+            ), f"{notation}: float64 logits drifted through a direct execute"
 
 
 # -- the scope never leaks ---------------------------------------------------
@@ -123,19 +166,23 @@ def _probe(monkeypatch, owner, name, getter, seen, error=None):
 
 
 def _entry_point(name, monkeypatch, getter, seen, error, model, data):
-    """Instrument one pinned entry point and return a thunk calling it."""
+    """Instrument one pinned entry point and return a thunk calling it.
+    Simulations are probed at their first layer's step, inside the loop."""
     scheme = HybridCodingScheme.from_notation("phase-burst")
     config = SimulationConfig(time_steps=TIME_STEPS)
     x = data.test.x[:4]
-    if name == "simulate":
+    if name in ("simulate", "execute"):
         network = build_network(model, scheme, calibration_x=data.train.x[:32], seed=0)
-        _probe(monkeypatch, engine_run, "execute", getter, seen, error)
-        return lambda: simulate(network, x, config)
+        _probe(monkeypatch, network.layers[0], "step", getter, seen, error)
+        if name == "simulate":
+            return lambda: simulate(network, x, config)
+        plan = plan_simulation(network, config)
+        return lambda: execute(plan.prepare(x))
     if name == "session.run":
         session = InferenceSession.from_model(
             model, scheme, config=config, calibration_x=data.train.x[:32], seed=0
         )
-        _probe(monkeypatch, engine_session, "execute", getter, seen, error)
+        _probe(monkeypatch, session.network.layers[0], "step", getter, seen, error)
         return lambda: session.run(x)
     if name == "fit":
         fresh = build_mlp(data.input_shape, [8], data.num_classes, seed=0)
@@ -146,7 +193,7 @@ def _entry_point(name, monkeypatch, getter, seen, error, model, data):
     return lambda: normalize_weights(model, calibration_x=data.train.x[:32])
 
 
-ENTRY_POINTS = ["simulate", "session.run", "fit", "normalize_weights"]
+ENTRY_POINTS = ["simulate", "execute", "session.run", "fit", "normalize_weights"]
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
@@ -211,16 +258,24 @@ def test_concurrent_replica_sessions(caller_threads, monkeypatch, trained_mlp, t
     )
     barrier = threading.Barrier(2, timeout=60)
     seen = []
-    original = engine_session.execute
 
-    def overlapping_execute(*args, **kwargs):
-        barrier.wait()
-        seen.append(caller_threads())
-        result = original(*args, **kwargs)
-        barrier.wait()
-        return result
+    def overlap(layer):
+        """Hold both runs at their first and last step of the first layer."""
+        original = layer.step
 
-    monkeypatch.setattr(engine_session, "execute", overlapping_execute)
+        def step(incoming, t, *args):
+            if t == 0:
+                barrier.wait()
+                seen.append(caller_threads())
+            out = original(incoming, t, *args)
+            if t == TIME_STEPS - 1:
+                barrier.wait()
+            return out
+
+        monkeypatch.setattr(layer, "step", step)
+
+    for session in pool:
+        overlap(session.network.layers[0])
     errors = []
 
     def serve(session):

@@ -92,13 +92,12 @@ class TestCliParser:
 
     def test_serve_subcommand_parses(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--max-batch-size", "4", "--max-wait-ms", "2.5",
+            ["serve", "--port", "0", "--max-batch-size", "4",
              "--scheme", "phase-burst", "real-rate"]
         )
         assert args.command == "serve"
         assert args.port == 0
         assert args.max_batch_size == 4
-        assert args.max_wait_ms == 2.5
         assert args.schemes == ["phase-burst", "real-rate"]
 
     def test_serve_defaults(self):

@@ -1,7 +1,9 @@
 """Tests for the embeddable serving engine (repro.serving.engine) and the
 single-flight contract of InferenceSession (repro.engine.session)."""
 
+import contextlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,17 +20,12 @@ TIME_STEPS = 20
 
 @pytest.fixture()
 def engine(trained_mlp, tiny_image_split):
-    """A float64 serving engine over the tiny trained MLP.
-
-    The wait window is generous (200 ms) so asynchronously submitted
-    requests reliably coalesce into micro-batches on slow CI machines.
-    """
+    """A float64 serving engine over the tiny trained MLP."""
     engine = ServingEngine(
         trained_mlp,
         tiny_image_split.train.x,
         ServingConfig(
             max_batch_size=4,
-            max_wait_ms=200.0,
             time_steps=TIME_STEPS,
             dtype="float64",
             seed=0,
@@ -51,25 +48,46 @@ def _reference_scores(engine, model, images, notation="phase-burst"):
     return session.run(images).final_outputs
 
 
+@contextlib.contextmanager
+def _replica_busy(engine, image):
+    """Keep the engine's only replica busy for the body of the ``with``.
+
+    Holding the replica session's run lock, one wedge request is submitted
+    and taken by the worker, which then blocks on the lock; requests
+    submitted in the body queue behind it and, on exit, ride together in
+    batches of up to ``max_batch_size``.  (A batch of one would not do: a
+    one-row float64 GEMM may sum in another order than the same row inside
+    a larger batch.)"""
+    session = engine._scheme_server("phase-burst").sessions[0]
+    with session._run_lock:
+        wedge = engine.classify(image)
+        deadline = time.monotonic() + 10
+        while engine.queue_depth() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert engine.queue_depth() == 0
+        yield
+    wedge.result(timeout=60)
+
+
 class TestBitIdentity:
     def test_concurrent_singles_match_batch_run_bitwise(
         self, engine, trained_mlp, tiny_image_split
     ):
         """The acceptance check: N concurrent single-image requests answer
         bit-identically (float64) to the equivalent pipeline batch run, and
-        micro-batching actually coalesced (>= one executed batch of size > 1)."""
+        micro-batching actually coalesced: the 6 requests queued behind a
+        busy replica ride in batches of 4 and 2."""
         images = tiny_image_split.test.x[:6]
         reference = _reference_scores(engine, trained_mlp, images)
 
-        futures = [engine.classify(images[i]) for i in range(len(images))]
+        with _replica_busy(engine, images[0]):
+            futures = [engine.classify(images[i]) for i in range(len(images))]
         results = [future.result(timeout=60) for future in futures]
 
         served = np.array([result.scores for result in results], dtype=np.float64)
         assert served.dtype == reference.dtype
         assert np.array_equal(served, reference)
-        # the scheduler really coalesced: some batch served more than one image
-        assert engine.metrics.max_batch_size_seen() > 1
-        assert max(result.batch_size for result in results) > 1
+        assert [result.batch_size for result in results] == [4, 4, 4, 4, 2, 2]
         # with early exit off, no request reports a freeze step
         assert all(result.frozen_at is None for result in results)
         assert all(result.time_steps == TIME_STEPS for result in results)
@@ -80,7 +98,8 @@ class TestBitIdentity:
     def test_threaded_clients_match_batch_run_bitwise(
         self, engine, trained_mlp, tiny_image_split
     ):
-        """Same equivalence with real concurrent client threads."""
+        """Same equivalence with real concurrent client threads, whose
+        requests queue behind a busy replica and ride in two batches of 4."""
         images = tiny_image_split.test.x[:8]
         reference = _reference_scores(engine, trained_mlp, images)
         results = [None] * len(images)
@@ -91,12 +110,18 @@ class TestBitIdentity:
             results[index] = engine.classify_sync(images[index], timeout=60)
 
         threads = [threading.Thread(target=client, args=(i,)) for i in range(len(images))]
-        for thread in threads:
-            thread.start()
+        with _replica_busy(engine, images[0]):
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            while engine.queue_depth() < len(images) and time.monotonic() < deadline:
+                time.sleep(0.005)
         for thread in threads:
             thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
         served = np.array([result.scores for result in results], dtype=np.float64)
         assert np.array_equal(served, reference)
+        assert sorted(result.batch_size for result in results) == [4] * 8
 
 
 class TestEngineBehaviour:
@@ -140,7 +165,6 @@ class TestEngineBehaviour:
             tiny_image_split.train.x,
             ServingConfig(
                 max_batch_size=2,
-                max_wait_ms=1.0,
                 time_steps=8,
                 session_cache_size=2,
                 seed=0,
@@ -167,7 +191,6 @@ class TestEngineBehaviour:
             tiny_image_split.train.x,
             ServingConfig(
                 max_batch_size=2,
-                max_wait_ms=1.0,
                 time_steps=40,
                 early_exit_patience=5,
                 seed=0,
@@ -254,7 +277,6 @@ class TestReplicaPool:
             tiny_image_split.train.x,
             ServingConfig(
                 max_batch_size=1,
-                max_wait_ms=0.0,
                 num_replicas=2,
                 time_steps=TIME_STEPS,
                 dtype="float64",
@@ -293,7 +315,6 @@ class TestReplicaPool:
             tiny_image_split.train.x,
             ServingConfig(
                 max_batch_size=2,
-                max_wait_ms=50.0,
                 num_replicas=3,
                 time_steps=8,
                 seed=0,
@@ -318,15 +339,14 @@ class TestEngineAdmissionControl:
 
     @pytest.fixture()
     def limited_engine(self, trained_mlp, tiny_image_split):
-        """Rate-limited engine on a manual clock (max_batch_size=1 so batches
-        flush on size — a frozen clock never expires the wait window)."""
+        """Rate-limited engine on a manual clock: the clock only feeds the
+        limiter and the timing stamps, never batch dispatch."""
         clock = self.ManualClock()
         engine = ServingEngine(
             trained_mlp,
             tiny_image_split.train.x,
             ServingConfig(
                 max_batch_size=1,
-                max_wait_ms=0.0,
                 time_steps=8,
                 max_rps=1.0,
                 client_quota=3,

@@ -51,9 +51,7 @@ def served(trained_mlp, tiny_image_split):
     engine = ServingEngine(
         trained_mlp,
         tiny_image_split.train.x,
-        ServingConfig(
-            max_batch_size=4, max_wait_ms=5.0, max_queue=4, time_steps=TIME_STEPS, seed=0
-        ),
+        ServingConfig(max_batch_size=4, max_queue=4, time_steps=TIME_STEPS, seed=0),
     )
     server = ServingHTTPServer(engine, port=0, default_scheme="phase-burst").start()
     yield server, engine, tiny_image_split.test.x
@@ -223,7 +221,7 @@ class TestErrorMapping:
             trained_mlp,
             tiny_image_split.train.x,
             ServingConfig(
-                max_batch_size=1, max_wait_ms=0.0, max_queue=3,
+                max_batch_size=1, max_queue=3,
                 time_steps=TIME_STEPS, seed=0,
             ),
         )
@@ -269,7 +267,7 @@ class TestErrorMapping:
             trained_mlp,
             tiny_image_split.train.x,
             ServingConfig(
-                max_batch_size=1, max_wait_ms=0.0, time_steps=8,
+                max_batch_size=1, time_steps=8,
                 max_rps=0.001, rate_burst=1.0, seed=0,
             ),
         )
@@ -317,7 +315,7 @@ class TestCliServeSmoke:
                 "--host", "127.0.0.1", "--port", str(port),
                 "--dataset", "mnist", "--model", "mlp",
                 "--samples-per-class", "6", "--epochs", "2",
-                "--time-steps", "10", "--max-wait-ms", "2",
+                "--time-steps", "10",
                 "--scheme", "phase-burst",
             ],
             env=env,

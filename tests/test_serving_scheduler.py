@@ -21,105 +21,126 @@ def _echo_handler(payloads, info):
     return [(payload, info.size) for payload in payloads]
 
 
-class FakeClock:
-    """Monotonic clock that jumps ``step`` seconds on every read."""
+class GatedHandler:
+    """Echo handler whose batches block until :meth:`release`: while the
+    first batch holds the only worker, later submissions queue up.
+    ``batches`` records each executed batch's payloads in execution order."""
 
-    def __init__(self, step: float) -> None:
-        self.now = 0.0
-        self.step = step
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self._gate = threading.Event()
+        self.batches = []
 
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
+    def __call__(self, payloads, info):
+        self.entered.set()
+        assert self._gate.wait(timeout=10)
+        self.batches.append(list(payloads))
+        return list(payloads)
+
+    def release(self) -> None:
+        self._gate.set()
+
+
+def _frozen_clock() -> float:
+    return 0.0
 
 
 class TestCoalescing:
     def test_batches_coalesce_under_load(self):
+        # requests submitted while the worker is busy ride together, in
+        # batches capped at max_batch_size
+        handler = GatedHandler()
         metrics = ServerMetrics()
-        with MicroBatcher(
-            _echo_handler, max_batch_size=4, max_wait_ms=50.0, metrics=metrics
-        ) as batcher:
-            futures = [batcher.submit(i) for i in range(20)]
-            results = [f.result(timeout=10) for f in futures]
+        batcher = MicroBatcher(handler, max_batch_size=4, metrics=metrics)
+        futures = [batcher.submit(0)]
+        assert handler.entered.wait(timeout=10)
+        futures += [batcher.submit(i) for i in range(1, 20)]
+        handler.release()
+        results = [f.result(timeout=10) for f in futures]
+        batcher.close()
         # every request answered, in submission order
-        assert [payload for payload, _ in results] == list(range(20))
-        # the histogram accounts for every request...
-        histogram = metrics.batch_size_histogram()
-        assert sum(size * count for size, count in histogram.items()) == 20
-        # ...and at least one executed batch actually coalesced requests
-        assert metrics.max_batch_size_seen() > 1
-        assert max(size for _, size in results) > 1
+        assert results == list(range(20))
+        assert [len(batch) for batch in handler.batches] == [1, 4, 4, 4, 4, 3]
+        assert metrics.batch_size_histogram() == {1: 1, 4: 4, 3: 1}
         assert metrics.requests_total == 20
         assert metrics.rejected_total == 0
 
     def test_full_batch_flushes_without_waiting(self):
-        # max_wait_ms is huge: only the size trigger can flush, so a prompt
-        # result proves the flush-on-max_batch_size path
-        with MicroBatcher(
-            _echo_handler, max_batch_size=3, max_wait_ms=60_000.0, start=False
-        ) as batcher:
+        # the three requests are queued before the worker starts: it takes
+        # them as one batch of max_batch_size
+        with MicroBatcher(_echo_handler, max_batch_size=3, start=False) as batcher:
             futures = [batcher.submit(i) for i in range(3)]
             batcher.start()
             results = [f.result(timeout=10) for f in futures]
             assert [size for _, size in results] == [3, 3, 3]
 
 
-class TestMaxWaitFlush:
-    def test_partial_batch_flushes_on_deadline_with_fake_clock(self):
-        # the wait window is a minute of *fake* time: the injected clock
-        # expires it deterministically, no real sleeping involved
-        clock = FakeClock(step=30.0)
+class TestWorkConserving:
+    def test_lone_request_runs_on_a_frozen_clock(self):
+        # nothing waits on time: a request beside an idle worker runs at
+        # once, even when the clock never advances
+        metrics = ServerMetrics()
+        with MicroBatcher(
+            _echo_handler, max_batch_size=8, clock=_frozen_clock, metrics=metrics
+        ) as batcher:
+            payload, size = batcher.submit("solo").result(timeout=10)
+        assert (payload, size) == ("solo", 1)
+        assert metrics.snapshot()["queue_wait_ms"]["p50"] == 0.0
+
+    def test_partial_batch_dispatches_at_once(self):
+        # two queued requests, room for eight: the worker takes both as one
+        # batch instead of waiting for more company
         batcher = MicroBatcher(
-            _echo_handler,
-            max_batch_size=8,
-            max_wait_ms=60_000.0,
-            clock=clock,
-            start=False,
+            _echo_handler, max_batch_size=8, clock=_frozen_clock, start=False
         )
         futures = [batcher.submit(i) for i in range(2)]
-        started = time.monotonic()
         batcher.start()
         results = [f.result(timeout=10) for f in futures]
-        elapsed = time.monotonic() - started
         batcher.close()
-        # the batch never filled (2 of 8) yet still flushed — on the fake
-        # deadline, and in real milliseconds rather than the fake minute
-        assert [size for _, size in results] == [2, 2]
-        assert elapsed < 5.0
+        assert results == [(0, 2), (1, 2)]
 
-    def test_lone_request_pays_at_most_the_window(self):
-        with MicroBatcher(_echo_handler, max_batch_size=8, max_wait_ms=20.0) as batcher:
-            payload, size = batcher.submit("solo").result(timeout=10)
-        assert payload == "solo"
-        assert size == 1
+    def test_queued_requests_ride_together_by_priority(self):
+        # the next batch is the max_batch_size most important queued
+        # requests, in priority order (ties in submission order)
+        handler = GatedHandler()
+        batcher = MicroBatcher(handler, max_batch_size=4)
+        wedge = batcher.submit("wedge")
+        assert handler.entered.wait(timeout=10)
+        futures = [
+            batcher.submit(payload, priority)
+            for payload, priority in [
+                ("batch-0", "batch"),
+                ("batch-1", "batch"),
+                ("live-0", "interactive"),
+                ("batch-2", "batch"),
+                ("live-1", "interactive"),
+                ("live-2", "interactive"),
+            ]
+        ]
+        handler.release()
+        for future in [wedge, *futures]:
+            future.result(timeout=10)
+        batcher.close()
+        assert handler.batches == [
+            ["wedge"],
+            ["live-0", "live-1", "live-2", "batch-0"],
+            ["batch-1", "batch-2"],
+        ]
 
 
 class TestAdmissionControl:
     def test_bounded_queue_rejects_when_full(self):
-        release = threading.Event()
-        entered = threading.Event()
-
-        def blocking_handler(payloads, info):
-            entered.set()
-            assert release.wait(timeout=10)
-            return list(payloads)
-
+        handler = GatedHandler()
         metrics = ServerMetrics()
-        batcher = MicroBatcher(
-            blocking_handler,
-            max_batch_size=1,
-            max_wait_ms=0.0,
-            max_queue=3,
-            metrics=metrics,
-        )
+        batcher = MicroBatcher(handler, max_batch_size=1, max_queue=3, metrics=metrics)
         first = batcher.submit("in-flight")
-        assert entered.wait(timeout=10)  # the worker is now stuck in the handler
+        assert handler.entered.wait(timeout=10)  # the worker is now stuck in the handler
         queued = [batcher.submit(i) for i in range(3)]  # fills the bounded queue
         with pytest.raises(QueueFullError):
             batcher.submit("overflow")
         assert metrics.rejected_total == 1
         assert batcher.queue_depth == 3
-        release.set()
+        handler.release()
         assert first.result(timeout=10) == "in-flight"
         assert [f.result(timeout=10) for f in queued] == [0, 1, 2]
         batcher.close()
@@ -133,16 +154,27 @@ class TestAdmissionControl:
 
 class TestGracefulDrain:
     def test_drain_resolves_every_in_flight_future(self):
-        def slow_handler(payloads, info):
-            time.sleep(0.02)
-            return list(payloads)
-
-        batcher = MicroBatcher(slow_handler, max_batch_size=2, max_wait_ms=5.0)
-        futures = [batcher.submit(i) for i in range(7)]
-        batcher.close()  # graceful: flush the queue, then join the worker
+        # six requests are still queued behind the wedged worker when close
+        # begins; close admits nothing new but runs every one of them
+        handler = GatedHandler()
+        batcher = MicroBatcher(handler, max_batch_size=2)
+        futures = [batcher.submit(0)]
+        assert handler.entered.wait(timeout=10)
+        futures += [batcher.submit(i) for i in range(1, 7)]
+        closer = threading.Thread(target=batcher.close)
+        closer.start()
+        deadline = time.monotonic() + 10
+        while not batcher.closed and time.monotonic() < deadline:
+            time.sleep(0.001)
+        with pytest.raises(BatcherClosedError):
+            batcher.submit("late")
+        assert batcher.queue_depth == 6
+        handler.release()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
         assert all(f.done() for f in futures)
         assert [f.result(timeout=0) for f in futures] == list(range(7))
-        assert batcher.closed
+        assert [len(batch) for batch in handler.batches] == [1, 2, 2, 2]
         batcher.close()  # idempotent
 
     def test_handler_error_propagates_to_every_future_of_the_batch(self):
@@ -150,9 +182,7 @@ class TestGracefulDrain:
             raise RuntimeError("boom")
 
         metrics = ServerMetrics()
-        with MicroBatcher(
-            failing_handler, max_batch_size=4, max_wait_ms=5.0, metrics=metrics
-        ) as batcher:
+        with MicroBatcher(failing_handler, max_batch_size=4, metrics=metrics) as batcher:
             futures = [batcher.submit(i) for i in range(2)]
             for future in futures:
                 with pytest.raises(RuntimeError, match="boom"):
@@ -160,9 +190,7 @@ class TestGracefulDrain:
         assert metrics.snapshot()["errors_total"] == 2
 
     def test_wrong_result_count_is_an_error(self):
-        with MicroBatcher(
-            lambda payloads, info: [], max_batch_size=1, max_wait_ms=0.0
-        ) as batcher:
+        with MicroBatcher(lambda payloads, info: [], max_batch_size=1) as batcher:
             with pytest.raises(RuntimeError, match="results"):
                 batcher.submit("x").result(timeout=10)
 
@@ -180,52 +208,28 @@ class TestPriorities:
     def test_interactive_overtakes_queued_batch_work(self):
         """Under contention, queued interactive requests are served before
         batch requests submitted *earlier* (and ties keep submission order)."""
-        release = threading.Event()
-        entered = threading.Event()
-        served = []
-
-        def recording_handler(payloads, info):
-            entered.set()
-            assert release.wait(timeout=10)
-            served.append(list(payloads))
-            return list(payloads)
-
-        batcher = MicroBatcher(
-            recording_handler, max_batch_size=2, max_wait_ms=0.0, max_queue=8
-        )
+        handler = GatedHandler()
+        batcher = MicroBatcher(handler, max_batch_size=2, max_queue=8)
         wedge = batcher.submit("wedge")  # occupies the single worker
-        assert entered.wait(timeout=10)
+        assert handler.entered.wait(timeout=10)
         lows = [batcher.submit(f"batch-{i}", "batch") for i in range(3)]
         highs = [batcher.submit(f"live-{i}", "interactive") for i in range(3)]
-        release.set()
+        handler.release()
         for future in [wedge, *lows, *highs]:
             future.result(timeout=10)
         batcher.close()
-        order = [payload for batch in served for payload in batch]
+        order = [payload for batch in handler.batches for payload in batch]
         assert order[0] == "wedge"
         # every interactive request ran before every batch request
         assert order[1:4] == ["live-0", "live-1", "live-2"]
         assert order[4:] == ["batch-0", "batch-1", "batch-2"]
 
     def test_full_queue_sheds_lowest_priority_for_interactive(self):
-        release = threading.Event()
-        entered = threading.Event()
-
-        def blocking_handler(payloads, info):
-            entered.set()
-            assert release.wait(timeout=10)
-            return list(payloads)
-
+        handler = GatedHandler()
         metrics = ServerMetrics()
-        batcher = MicroBatcher(
-            blocking_handler,
-            max_batch_size=1,
-            max_wait_ms=0.0,
-            max_queue=2,
-            metrics=metrics,
-        )
+        batcher = MicroBatcher(handler, max_batch_size=1, max_queue=2, metrics=metrics)
         wedge = batcher.submit("wedge")
-        assert entered.wait(timeout=10)
+        assert handler.entered.wait(timeout=10)
         lows = [batcher.submit(f"batch-{i}", "batch") for i in range(2)]
         # queue full of batch work: an interactive submission sheds the
         # *youngest lowest-priority* request instead of bouncing
@@ -244,33 +248,25 @@ class TestPriorities:
         with pytest.raises(QueueFullError):
             batcher.submit("live-3", "interactive")
         assert metrics.rejected_total == 1
-        release.set()
+        handler.release()
         assert wedge.result(timeout=10) == "wedge"
         assert high.result(timeout=10) == "live"
         assert high_2.result(timeout=10) == "live-2"
         batcher.close()
 
     def test_queue_full_rejection_carries_retry_after(self):
-        release = threading.Event()
-        entered = threading.Event()
-
-        def blocking_handler(payloads, info):
-            entered.set()
-            assert release.wait(timeout=10)
-            return list(payloads)
-
-        batcher = MicroBatcher(
-            blocking_handler, max_batch_size=2, max_wait_ms=0.0, max_queue=4
-        )
+        handler = GatedHandler()
+        batcher = MicroBatcher(handler, max_batch_size=2, max_queue=4)
         first = batcher.submit("in-flight")
-        assert entered.wait(timeout=10)
+        assert handler.entered.wait(timeout=10)
         queued = [batcher.submit(i) for i in range(4)]
         with pytest.raises(QueueFullError) as excinfo:
             batcher.submit("overflow")
-        # before any batch completed, the estimate floors at the wait window
-        assert excinfo.value.retry_after_s >= 0.05
-        assert batcher.estimate_retry_after() >= 0.05
-        release.set()
+        # before any batch completed, each batch counts 0.05 s: the 5
+        # requests ahead of a would-be new one make 3 batches on 1 worker
+        assert excinfo.value.retry_after_s == pytest.approx(0.15)
+        assert batcher.estimate_retry_after() == pytest.approx(0.15)
+        handler.release()
         first.result(timeout=10)
         for future in queued:
             future.result(timeout=10)
@@ -287,9 +283,7 @@ class TestWorkerPool:
             barrier.wait()  # only passable when two batches run at once
             return [(payload, info.replica) for payload in payloads]
 
-        with MicroBatcher(
-            rendezvous_handler, max_batch_size=1, max_wait_ms=0.0, num_workers=2
-        ) as batcher:
+        with MicroBatcher(rendezvous_handler, max_batch_size=1, num_workers=2) as batcher:
             futures = [batcher.submit(i) for i in range(2)]
             results = [f.result(timeout=10) for f in futures]
         assert sorted(payload for payload, _ in results) == [0, 1]
@@ -300,10 +294,7 @@ class TestWorkerPool:
             time.sleep(0.01)
             return [(payload, info.replica) for payload in payloads]
 
-        batcher = MicroBatcher(
-            slow_handler, max_batch_size=2, max_wait_ms=5.0, num_workers=3,
-            max_queue=64,
-        )
+        batcher = MicroBatcher(slow_handler, max_batch_size=2, num_workers=3, max_queue=64)
         futures = [batcher.submit(i) for i in range(17)]
         batcher.close()  # graceful: every admitted future resolves
         assert all(f.done() for f in futures)
@@ -316,9 +307,7 @@ class TestWorkerPool:
             time.sleep(0.02)
             return list(payloads)
 
-        batcher = MicroBatcher(
-            busy_handler, max_batch_size=1, max_wait_ms=0.0, num_workers=2
-        )
+        batcher = MicroBatcher(busy_handler, max_batch_size=1, num_workers=2)
         futures = [batcher.submit(i) for i in range(4)]
         for future in futures:
             future.result(timeout=10)
@@ -334,7 +323,6 @@ class TestValidationAndMetrics:
         "kwargs",
         [
             {"max_batch_size": 0},
-            {"max_wait_ms": -1.0},
             {"max_queue": 0},
             {"num_workers": 0},
         ],
