@@ -1,5 +1,6 @@
 """Tests for the micro-batching scheduler (repro.serving.scheduler)."""
 
+import sys
 import threading
 import time
 
@@ -301,6 +302,45 @@ class TestWorkerPool:
         results = [f.result(timeout=0) for f in futures]
         assert sorted(payload for payload, _ in results) == list(range(17))
         assert set(replica for _, replica in results) <= {0, 1, 2}
+
+    def test_no_request_lost_under_thread_contention(self):
+        """More workers and client threads than cores, a short switch
+        interval: a lost wake-up would leave a future unresolved (the
+        workers wait without a timeout), a lost update would answer a
+        request twice or in an over-full batch."""
+        sizes = []
+
+        def recording_handler(payloads, info):
+            sizes.append(len(payloads))
+            return list(payloads)
+
+        batcher = MicroBatcher(
+            recording_handler, max_batch_size=3, num_workers=4, max_queue=1000
+        )
+        futures = {}
+
+        def client(offset):
+            for i in range(offset, offset + 100):
+                futures[i] = batcher.submit(i)
+                if i % 7 == 0:
+                    time.sleep(0)  # yield, so workers often find the queue empty
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client, args=(k * 100,)) for k in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30)
+            results = {i: future.result(timeout=30) for i, future in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.close()
+        assert not any(thread.is_alive() for thread in clients)
+        assert results == {i: i for i in range(400)}
+        assert sum(sizes) == 400
+        assert max(sizes) <= 3
 
     def test_replica_utilisation_gauge(self):
         def busy_handler(payloads, info):
