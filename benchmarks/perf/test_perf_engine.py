@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import perf_cases
-from repro.backends import default_backend_name
 from repro.core.hybrid import HybridCodingScheme
 from repro.utils.dtypes import simulation_dtype, simulation_precision
 from repro.utils.timing import load_bench_json, write_bench_json
@@ -89,7 +88,7 @@ def perf_report():
     report = {
         "description": "engine perf report (components + end-to-end Table 2 VGG)",
         "dtype_default": str(simulation_dtype()),
-        "backend": default_backend_name(),
+        "backend": "numpy",
         "scale": perf_cases.current_scale(),
         "components": {},
         "end_to_end": {},

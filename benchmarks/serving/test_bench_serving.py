@@ -34,7 +34,6 @@ import numpy as np
 import pytest
 
 import loadgen
-from repro.backends import default_backend_name
 from repro.experiments.workloads import build_workload
 from repro.serving.engine import ServingConfig, ServingEngine
 from repro.serving.http import ServingHTTPServer
@@ -186,7 +185,6 @@ def test_load_curve_measured_and_recorded(load_curve):
     """Every configured replica count served the full burst schedule; the
     per-(num_replicas, scheme, backend) rows land in BENCH_serving.json."""
     rows = []
-    backend = default_backend_name()
     for num_replicas, entry in sorted(load_curve.items()):
         summary = entry["summary"]
         assert summary["requests"] == NUM_REQUESTS
@@ -202,7 +200,7 @@ def test_load_curve_measured_and_recorded(load_curve):
                 "git_rev": _git_revision(),
                 "scale": _scale(),
                 "scheme": SCHEME,
-                "backend": backend,
+                "backend": "numpy",
                 "num_replicas": num_replicas,
                 "cpu_count": os.cpu_count(),
                 "simulation_blas_threads": machine_info()["simulation_blas_threads"],

@@ -7,9 +7,8 @@ The package is organised bottom-up:
 * :mod:`repro.data` — synthetic MNIST/CIFAR-like datasets,
 * :mod:`repro.models` — MLP / CNN / VGG-16 builders,
 * :mod:`repro.conversion` — DNN→SNN weight normalisation and conversion,
-* :mod:`repro.backends` — the pluggable compute-backend layer: every kernel
-  hot path (GEMM, conv plans, pooling, IF/threshold updates) behind a
-  registry of :class:`~repro.backends.base.KernelBackend` implementations,
+* :mod:`repro.backends` — the numpy compute kernels behind every hot path
+  (GEMM, conv plans, pooling, IF/threshold updates), one backend,
 * :mod:`repro.snn` — the discrete-time spiking simulator (IF neurons,
   threshold dynamics, weighted spikes, encoders),
 * :mod:`repro.core` — the paper's contribution: burst coding and the
@@ -46,14 +45,7 @@ from repro.core import (
     standard_schemes,
     table1_schemes,
 )
-from repro.backends import (
-    KernelBackend,
-    backend_metadata,
-    backend_names,
-    backend_scope,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.backends import resolve_backend
 from repro.conversion import ConversionConfig, convert_to_snn, normalize_weights
 from repro.data import (
     DataSplit,
@@ -95,12 +87,7 @@ __all__ = [
     "SNNInferencePipeline",
     "standard_schemes",
     "table1_schemes",
-    "KernelBackend",
-    "backend_metadata",
-    "backend_names",
-    "backend_scope",
     "resolve_backend",
-    "set_default_backend",
     "ConversionConfig",
     "convert_to_snn",
     "normalize_weights",

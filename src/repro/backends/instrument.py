@@ -1,22 +1,20 @@
 """Backend instrumentation: count and time every kernel-seam crossing.
 
-``InstrumentedBackend`` wraps any :class:`~repro.backends.base.KernelBackend`
-and records, per primitive name, how many times it was called and how long
-the calls took.  Layers reset on it route every primitive of their ``step``
-through the counting wrappers, which is what the per-layer seam-contract
-tests (``tests/test_backends.py``) and the traced benchmark run
+``InstrumentedBackend`` wraps the
+:class:`~repro.backends.numpy_backend.NumpyBackend` and records, per
+primitive name, how many times it was called and how long the calls took.
+Layers reset on it route every primitive of their ``step`` through the
+counting wrappers, which is what the per-layer seam-contract tests
+(``tests/test_backends.py``) and the traced benchmark run
 (``perfbench/run.py --trace 1``) read.
 
-The wrapper reports the inner backend's ``name``, so anything keyed by
-backend name treats it as the backend it wraps.
+The wrapper reports the inner backend's ``name``.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Dict, Optional
-
-from repro.backends.base import KernelBackend
 
 __all__ = ["KernelCallRecorder", "InstrumentedBackend", "PRIMITIVE_NAMES"]
 
@@ -68,17 +66,13 @@ class KernelCallRecorder:
         }
 
 
-class InstrumentedBackend(KernelBackend):
-    """Counting/timing proxy around a real backend (tests and profiling)."""
+class InstrumentedBackend:
+    """Counting/timing proxy around the numpy kernels (tests and profiling)."""
 
-    def __init__(
-        self, inner: KernelBackend, recorder: Optional[KernelCallRecorder] = None
-    ) -> None:
+    def __init__(self, inner, recorder: Optional[KernelCallRecorder] = None) -> None:
         self._inner = inner
         self.recorder = recorder if recorder is not None else KernelCallRecorder()
-        # same registry name as the backend it wraps
         self.name = inner.name
-        self.description = f"instrumented({inner.name})"
         for primitive in PRIMITIVE_NAMES:
             target = getattr(inner, primitive, None)
             if target is None:
@@ -98,15 +92,9 @@ class InstrumentedBackend(KernelBackend):
         counted.__name__ = primitive
         return counted
 
-    def available(self) -> bool:
-        return self._inner.available()
-
-    def availability_error(self):
-        return self._inner.availability_error()
-
     def __getattr__(self, attribute):
-        # anything not wrapped above (tuning knobs like min_rows/threads,
-        # helper methods) resolves on the real backend
+        # anything not wrapped above (a primitive added to the numpy backend
+        # but not yet to PRIMITIVE_NAMES) resolves uncounted on the real one
         return getattr(self._inner, attribute)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,15 +1,13 @@
-"""The numpy reference backend: the seed engine's kernels behind the seam.
+"""The numpy kernels behind every hot path of the simulation engine.
 
-This backend *is* the code the engine ran before the backend layer existed —
-the kernel bodies were relocated here (not rewritten), so its float64 results
-remain bit-identical to the golden seed reference
-(``benchmarks/perf/seed_reference.json``), and its float32 results are
-byte-for-byte what PR 1/2 shipped.  Every other backend is measured against
-this one by the parity suite (``tests/test_backends.py``).
-
-The conv plans are the cached :class:`~repro.ann.im2col.Im2colPlan` (canonical
-/ exact path) and :class:`~repro.ann.im2col.DirectConvPlan` (stride-1 halo
-fast path) objects unchanged.
+The engine's per-step work decomposes into a small set of kernel primitives:
+buffer allocation, GEMM, the max-pool winner gather, the empty-step nonzero
+count, im2col / direct-convolution plans, slab pooling, and the elementwise
+integrate-and-fire / burst-threshold updates.  :class:`NumpyBackend` holds
+them all; the layers (:mod:`repro.snn.layers`), neuron states
+(:mod:`repro.snn.neurons`) and threshold dynamics
+(:mod:`repro.snn.thresholds`) decide *which* primitive runs when and call it
+through their ``ops`` attribute.
 """
 
 from __future__ import annotations
@@ -19,15 +17,29 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.ann.im2col import DirectConvPlan, Im2colPlan, avgpool2x2
-from repro.backends.base import KernelBackend
-from repro.backends.registry import register_backend
 
 
-class NumpyBackend(KernelBackend):
-    """Reference kernels on plain numpy (the project's golden implementation)."""
+class NumpyBackend:
+    """The engine's kernels on plain numpy, shared process-wide.
+
+    Contracts
+    ---------
+    * Every ``out=`` parameter is a preallocated buffer owned by the caller;
+      the kernel writes the result there and returns it, so the engine stays
+      zero-allocation in the steady state.
+    * Float64 results are bit-identical to the seed engine
+      (``benchmarks/perf/seed_reference.json``): the kernel bodies are the
+      seed's code relocated, not rewritten.  Float32 results keep the seed's
+      predictions.
+    * The object holds no per-run state (all state lives in caller buffers),
+      so one instance serves every layer, session and thread.
+
+    The conv plans are the cached :class:`~repro.ann.im2col.Im2colPlan`
+    (canonical, float64-exact path) and :class:`~repro.ann.im2col.DirectConvPlan`
+    (stride-1 halo path used in float32).
+    """
 
     name = "numpy"
-    description = "reference numpy kernels (float64 bit-identical to the seed engine)"
 
     # -- buffer allocation -------------------------------------------------
     def empty(self, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
@@ -96,6 +108,9 @@ class NumpyBackend(KernelBackend):
 
     # -- pooling kernels ---------------------------------------------------
     def avgpool2x2(self, incoming: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """2×2 / stride-2 average pooling over strided slab views, in the
+        reference summation order (window (0,0), (0,1), (1,0), (1,1), then
+        one divide)."""
         return avgpool2x2(incoming, out)
 
     def mean_columns(self, cols: np.ndarray, out_flat: np.ndarray) -> np.ndarray:
@@ -117,6 +132,11 @@ class NumpyBackend(KernelBackend):
         v_rest: float,
         allow_negative: bool,
     ) -> int:
+        """One fused membrane update (Eqs. 1–5): integrate ``z``, compare to
+        ``threshold``, emit boolean ``spikes`` / exact 0.0-1.0 ``signals`` /
+        weighted ``amplitudes``, apply the reset rule, and return the spike
+        count.  Every array is a caller-owned buffer updated in place.
+        """
         v_mem += z
         np.greater_equal(v_mem, threshold, out=spikes)
         # the same comparison as a 0.0/1.0 float array: float·float ufuncs are
@@ -138,6 +158,8 @@ class NumpyBackend(KernelBackend):
     def burst_grow(
         self, g: np.ndarray, grown: np.ndarray, beta: float, ceiling: Optional[float]
     ) -> np.ndarray:
+        """``grown = g * beta``, clamped to ``ceiling`` when given (overflow
+        guard; ``None`` skips the provably-identity clamp pass)."""
         np.multiply(g, beta, out=grown)
         if ceiling is not None:
             np.minimum(grown, ceiling, out=grown)
@@ -184,9 +206,19 @@ class NumpyBackend(KernelBackend):
         np.add(grown, silent, out=g)
 
 
-@register_backend(
-    "numpy",
-    description=NumpyBackend.description,
-)
-def _build_numpy_backend() -> NumpyBackend:
-    return NumpyBackend()
+#: the one kernel object every layer uses unless a stand-in is passed
+_NUMPY = NumpyBackend()
+
+
+def check_backend_name(name) -> None:
+    """Raise :class:`ValueError` unless ``name`` is ``None`` or ``"numpy"``
+    (the ``backend`` fields of the simulation and serving configs)."""
+    if name is not None and name != NumpyBackend.name:
+        raise ValueError(f"unknown compute backend {name!r}; the only backend is 'numpy'")
+
+
+def resolve_backend(value=None):
+    """``value`` when it is a kernel object (such as an
+    :class:`~repro.backends.instrument.InstrumentedBackend`), otherwise the
+    shared :class:`NumpyBackend`."""
+    return _NUMPY if value is None else value

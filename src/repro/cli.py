@@ -16,9 +16,8 @@ Four subcommands cover the common workflows:
 * ``repro info`` — print the installed version and the available experiments,
   datasets, models and coding schemes.
 
-Cross-cutting flags: ``--dtype`` pins the simulation precision, ``--backend``
-pins the compute backend (``--list-backends`` prints the backend registry
-with availability), ``--list-schemes`` prints the coding-scheme registry.
+Cross-cutting flags: ``--dtype`` pins the simulation precision,
+``--list-schemes`` prints the coding-scheme registry.
 
 The module is also the ``repro`` console-script entry point declared in
 ``pyproject.toml``.
@@ -55,22 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the project dtype policy, float32)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="compute backend for every run in this invocation "
-        "(default: the backend policy — REPRO_BACKEND or 'numpy'; "
-        "--list-backends shows the registry)",
-    )
-    parser.add_argument(
         "--list-schemes",
         action="store_true",
         help="list the registered coding schemes (including extensions) and exit",
-    )
-    parser.add_argument(
-        "--list-backends",
-        action="store_true",
-        help="list the registered compute backends (with availability) and exit",
     )
     subparsers = parser.add_subparsers(dest="command")
 
@@ -263,40 +249,6 @@ def _command_list_schemes() -> int:
     return 0
 
 
-def _command_list_backends() -> int:
-    """Print the compute-backend registry (the ``--list-backends`` flag).
-
-    Rendered from :func:`repro.backends.backend_metadata`, so unavailable
-    backends (e.g. ``torch`` without PyTorch installed) appear with the
-    reason instead of silently missing.
-    """
-    from repro.backends import backend_metadata, default_backend_name
-
-    table = Table(
-        ["backend", "available", "description"],
-        title="Registered compute backends",
-    )
-    rows = backend_metadata()
-    for row in rows:
-        name = row["backend"]
-        if row["default"]:
-            name = f"{name} (default)"
-        table.add_row(
-            {
-                "backend": name,
-                "available": "yes" if row["available"] else "no",
-                "description": row["description"],
-            }
-        )
-    print(table.render())
-    print(f"\neffective backend: {default_backend_name()}")
-    print("select with --backend NAME, SimulationConfig(backend=...), or REPRO_BACKEND")
-    for row in rows:
-        if not row["available"]:
-            print(f"  {row['backend']}: unavailable — {row['error']}")
-    return 0
-
-
 def _command_compare(args: argparse.Namespace) -> int:
     schemes = _parse_schemes(args.schemes, v_th=args.v_th)
     if schemes is None:
@@ -313,10 +265,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             num_workers=args.num_workers,
             early_exit_patience=args.early_exit_patience,
             early_exit_margin=args.early_exit_margin,
-            # thread the backend into the config explicitly: the process-wide
-            # override set by --backend does not survive into spawn-started
-            # shard workers, but a config field travels with the pickle
-            backend=args.backend,
         ),
     )
     table = Table(
@@ -373,7 +321,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         quota_window_s=args.quota_window_s,
         time_steps=args.time_steps,
         early_exit_patience=args.early_exit_patience,
-        backend=args.backend,
         seed=args.seed,
     )
     if len(schemes) > config.session_cache_size:
@@ -439,19 +386,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.utils.dtypes import set_simulation_dtype
 
         set_simulation_dtype(args.dtype)
-    if args.backend is not None:
-        from repro.backends import UnknownBackendError, set_default_backend
-
-        try:
-            set_default_backend(args.backend)
-        except UnknownBackendError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print("use --list-backends to see the registered backends", file=sys.stderr)
-            return 2
     if args.list_schemes:
         return _command_list_schemes()
-    if args.list_backends:
-        return _command_list_backends()
     if args.command == "experiment":
         return _command_experiment(args)
     if args.command == "compare":

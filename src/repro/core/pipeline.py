@@ -93,9 +93,6 @@ class PipelineConfig(FrozenConfig):
         margin at or above this threshold throughout the patience window
         (requires ``early_exit_patience``; ``None`` keeps the fixed
         argmax-stability count).
-    backend:
-        Compute backend for every simulation of this pipeline (a registered
-        :mod:`repro.backends` name; ``None`` = the backend policy default).
     num_workers:
         Shard batch evaluation across this many worker processes (``None`` or
         1 = sequential).  Falls back to in-process execution on single-CPU
@@ -113,7 +110,6 @@ class PipelineConfig(FrozenConfig):
     seed: int = 0
     early_exit_patience: Optional[int] = None
     early_exit_margin: Optional[float] = None
-    backend: Optional[str] = None
     num_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -132,10 +128,6 @@ class PipelineConfig(FrozenConfig):
                     "early_exit_margin requires early_exit_patience (the margin "
                     "must hold for a patience window to freeze an image)"
                 )
-        if self.backend is not None:
-            from repro.backends import validate_backend_name
-
-            validate_backend_name(self.backend)
         if self.num_workers is not None:
             validate_positive("num_workers", self.num_workers)
 
@@ -311,7 +303,6 @@ class SNNInferencePipeline:
             record_trains=config.record_trains,
             sample_fraction=config.sample_fraction,
             seed=config.seed,
-            backend=config.backend,
             early_exit_patience=config.early_exit_patience,
             early_exit_margin=config.early_exit_margin,
         )

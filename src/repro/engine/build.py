@@ -14,11 +14,8 @@ trained :class:`~repro.ann.model.Sequential` and a
 The resulting :class:`~repro.snn.network.SpikingNetwork` keeps float64 weight
 masters; casting to the simulation dtype, plan construction and buffer
 preallocation are the *plan* stage's job (:mod:`repro.engine.plan`), and the
-step loop is the *run* stage's (:mod:`repro.engine.run`).  The same split
-applies to the compute backend (:mod:`repro.backends`): a built network is
-backend-agnostic — ``SimulationConfig.backend`` is resolved at plan time and
-bound to the layers at each reset, so one build can serve runs on different
-backends.
+step loop is the *run* stage's (:mod:`repro.engine.run`).  The layers bind
+the numpy kernels (:mod:`repro.backends`) at each reset, not at build time.
 """
 
 from __future__ import annotations

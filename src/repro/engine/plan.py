@@ -5,11 +5,10 @@ pulled out of ``SpikingNetwork.run``:
 
 * the simulation **dtype** is resolved once through the project policy
   (float32 default, float64 opt-in bit-identical to the seed engine),
-* the **compute backend** is resolved once through the backend registry
-  (:mod:`repro.backends`; ``SimulationConfig.backend`` → the ``repro
-  --backend`` override → ``REPRO_BACKEND`` → the numpy reference backend)
-  and handed to every layer at reset, so all kernel hot paths of a run live
-  on one backend,
+* every layer is reset onto the numpy kernels
+  (:class:`~repro.backends.numpy_backend.NumpyBackend`, the only backend),
+  unless :attr:`SimulationPlan.backend` holds a stand-in such as the
+  counting :class:`~repro.backends.instrument.InstrumentedBackend`,
 * the **snapshot schedule** (which steps record output scores) is computed
   once per configuration — it does not depend on the batch,
 * per-batch **preparation** (:meth:`SimulationPlan.prepare`) resets the
@@ -32,7 +31,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.backends import KernelBackend, resolve_backend
 from repro.snn.network import SimulationConfig, SpikingNetwork
 from repro.snn.recording import LayerRecord, SpikeRecord
 from repro.utils.dtypes import resolve_dtype
@@ -69,12 +67,16 @@ class PreparedBatch:
 
 @dataclass
 class SimulationPlan:
-    """Reusable per-(network, config) preparation for simulation runs."""
+    """Reusable per-(network, config) preparation for simulation runs.
+
+    ``backend`` is ``None`` (the numpy kernels) or a kernel object standing in
+    for them, such as an :class:`~repro.backends.instrument.InstrumentedBackend`.
+    """
 
     network: SpikingNetwork
     config: SimulationConfig
     dtype: np.dtype
-    backend: Optional[KernelBackend] = None
+    backend: Optional[object] = None
     recorded_steps: List[int] = field(default_factory=list)
 
     def prepare(self, x: np.ndarray) -> PreparedBatch:
@@ -108,9 +110,8 @@ class SimulationPlan:
         record.preallocate(config.time_steps, batch_size)
 
         network.encoder.reset(x, dtype=self.dtype)
-        backend = self.backend if self.backend is not None else resolve_backend(None)
         for layer in network.layers:
-            layer.reset(batch_size, dtype=self.dtype, backend=backend)
+            layer.reset(batch_size, dtype=self.dtype, backend=self.backend)
         # A periodic input drive (phase / real / TTFS coding) lets the first
         # layer cache its synaptic input per phase — bit-exact in every dtype.
         first = network.layers[0]
@@ -134,6 +135,5 @@ def plan_simulation(
         network=network,
         config=config,
         dtype=resolve_dtype(config.dtype),
-        backend=resolve_backend(config.backend),
         recorded_steps=recorded_step_schedule(config),
     )

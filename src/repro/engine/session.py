@@ -6,11 +6,11 @@ engine.  The expensive work happens once and is amortised across requests:
 
 * **build** — the DNN→SNN conversion (when constructed via
   :meth:`InferenceSession.from_model`) happens once per session,
-* **plan** — the dtype and compute-backend resolution and the snapshot
-  schedule are computed once, and the per-geometry kernel plans, weight
-  casts and scratch buffers cached inside the network's layers survive
-  across batches (all kernel hot paths run on the plan's resolved
-  :class:`~repro.backends.base.KernelBackend`),
+* **plan** — the dtype resolution and the snapshot schedule are computed
+  once, and the per-geometry kernel plans, weight casts and scratch buffers
+  cached inside the network's layers survive across batches (all kernel hot
+  paths run on the numpy
+  :class:`~repro.backends.numpy_backend.NumpyBackend`),
 * **run** — every :meth:`run` call only pays the per-batch state reset and
   the step loop.
 

@@ -48,6 +48,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.ann.model import Sequential
+from repro.backends.numpy_backend import check_backend_name
 from repro.conversion.converter import ConversionConfig
 from repro.conversion.normalization import NormalizationResult, normalize_weights
 from repro.core.hybrid import HybridCodingScheme
@@ -98,8 +99,8 @@ class ServingConfig(FrozenConfig):
         Simulation precision (``None`` = project policy, float32; float64
         answers are bit-identical to the batch pipeline).
     backend:
-        Compute backend for every served simulation (a registered
-        :mod:`repro.backends` name; ``None`` = the backend policy default).
+        ``None`` or ``"numpy"``, the only compute backend; anything else
+        raises :class:`ValueError`.
     early_exit_patience:
         Optional converged-image early exit (see
         :class:`~repro.snn.network.SimulationConfig`).
@@ -148,10 +149,7 @@ class ServingConfig(FrozenConfig):
             validate_positive("client_quota", self.client_quota)
         if self.early_exit_patience is not None:
             validate_positive("early_exit_patience", self.early_exit_patience)
-        if self.backend is not None:
-            from repro.backends import validate_backend_name
-
-            validate_backend_name(self.backend)
+        check_backend_name(self.backend)
 
 
 class _SchemeServer:
@@ -171,7 +169,6 @@ class _SchemeServer:
                 record_outputs_every=config.time_steps,  # final scores only
                 seed=config.seed,
                 dtype=config.dtype,
-                backend=config.backend,
                 early_exit_patience=config.early_exit_patience,
             ),
             conversion=config.conversion,

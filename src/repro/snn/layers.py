@@ -15,11 +15,12 @@ largest cumulative transmitted value.
 
 Every kernel primitive a layer's hot path touches — GEMMs, conv plans,
 pooling slabs, the max-pool winner read and the IF/threshold elementwise
-updates — runs on the layer's resolved
-:class:`~repro.backends.base.KernelBackend` (``self.ops``, bound at
-``reset``); the layers orchestrate *which* kernel runs per step but never
-call a kernel library directly.  The default numpy backend is the original
-code relocated behind the seam, so all guarantees below are unchanged.
+updates — is a method of the numpy
+:class:`~repro.backends.numpy_backend.NumpyBackend` (``self.ops``, bound at
+``reset``); the layers orchestrate *which* kernel runs per step.  ``ops`` is
+kept as a seam only so the counting
+:class:`~repro.backends.instrument.InstrumentedBackend` can stand in for the
+numpy kernels in the seam-contract tests and the traced benchmark replay.
 
 Performance contract
 --------------------
@@ -100,11 +101,9 @@ class SpikingLayer:
         self.batch_size: Optional[int] = None
         #: simulation dtype resolved at the most recent reset()
         self.dtype: np.dtype = resolve_dtype(None)
-        self._ops = None
-        #: whether the most recent reset() switched backends — subclasses use
-        #: it to drop plans/buffers built by the previous backend (a built
-        #: network can be re-reset onto a different backend)
-        self.backend_changed = False
+        #: the layer's kernel object (the shared numpy backend unless
+        #: reset() was handed a stand-in)
+        self.ops = resolve_backend(None)
         #: boolean spike array of the most recent step (spiking layers only)
         self.last_spikes: Optional[np.ndarray] = None
         #: nonzero count of the most recent step's output, when the layer can
@@ -117,36 +116,16 @@ class SpikingLayer:
         """Allocate per-simulation state for a batch of ``batch_size`` samples.
 
         ``dtype`` selects the simulation precision for this run (``None``
-        resolves through the project dtype policy); ``backend`` selects the
-        :class:`~repro.backends.base.KernelBackend` running the layer's kernel
-        primitives (name, instance, or ``None`` for the backend policy
-        default).
+        resolves through the project dtype policy); ``backend`` is ``None``
+        for the numpy kernels or a kernel object standing in for them (the
+        counting :class:`~repro.backends.instrument.InstrumentedBackend`).
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.batch_size = batch_size
         self.dtype = resolve_dtype(dtype)
-        resolved = resolve_backend(backend)
-        # backends are process-wide singletons, so identity is the right test
-        self.backend_changed = self._ops is not None and resolved is not self._ops
-        self._ops = resolved
+        self.ops = resolve_backend(backend)
         self.last_spikes = None
-
-    @property
-    def ops(self):
-        """The layer's :class:`~repro.backends.base.KernelBackend`.
-
-        Bound by :meth:`reset`; resolves the policy default lazily for layers
-        stepped without an explicit reset (the linear re-arrangement layers).
-        """
-        ops = self._ops
-        if ops is None:
-            ops = self._ops = resolve_backend(None)
-        return ops
-
-    @ops.setter
-    def ops(self, value) -> None:
-        self._ops = value
 
     def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
@@ -225,12 +204,11 @@ class _SpikingNeuronLayer(SpikingLayer):
         shape = self._state_shape(batch_size)
         if (
             self.state is not None
-            and not self.backend_changed
             and self.state.shape == shape
             and self.state.dtype == self.dtype
             and self.state.reset_mode is self.reset_mode
         ):
-            self.state.ops = self.ops  # the backend may change between runs
+            self.state.ops = self.ops  # a counting stand-in may replace the kernels
         else:
             self.state = IFNeuronState(
                 shape, reset_mode=self.reset_mode, dtype=self.dtype, ops=self.ops
@@ -386,9 +364,6 @@ class SpikingDense(_SpikingNeuronLayer):
 
     def _prepare_buffers(self, batch_size: int) -> None:
         ops = self.ops
-        if self.backend_changed:
-            # buffers built by the previous backend must not leak into this run
-            self._z = self._z_empty = None
         self._w_sim = _cast_cached(self._cast_cache, "weight", self.weight, self.dtype)
         if self.bias is not None:
             self._scaled_bias = _cast_cached(
@@ -513,10 +488,6 @@ class SpikingConv2D(_SpikingNeuronLayer):
     def _prepare_buffers(self, batch_size: int) -> None:
         out_c, out_h, out_w = self._out_shape
         ops = self.ops
-        if self.backend_changed:
-            # plans and buffers built by the previous backend must not leak
-            self._plan = self._direct = None
-            self._z2d = self._z4 = self._z_empty = None
         wmat = _cast_cached(self._cast_cache, "weight_matrix", self._weight_matrix, self.dtype)
         self._wmat_t = wmat.T
         self._taps = _cast_cached(self._cast_cache, "taps", self._tap_master, self.dtype)
@@ -617,8 +588,6 @@ class SpikingAvgPool2D(SpikingLayer):
     def reset(self, batch_size: int, dtype: DTypeLike = None, backend=None) -> None:
         super().reset(batch_size, dtype, backend)
         self.dispatcher.reset()
-        if self.backend_changed:
-            self._shape = None  # buffers rebuilt by the new backend on next step
 
     @property
     def _slab_mode(self) -> bool:
@@ -717,9 +686,7 @@ class SpikingMaxPool2D(SpikingLayer):
         super().reset(batch_size, dtype, backend)
         self.dispatcher.reset()
         self._steps_seen = 0
-        if self.backend_changed:
-            self._cumulative = None  # full rebuild by the new backend
-        elif self._cumulative is not None:
+        if self._cumulative is not None:
             self._cumulative.fill(0.0)
 
     def shrink_batch(self, keep: np.ndarray) -> None:
@@ -877,7 +844,6 @@ class OutputAccumulator(SpikingLayer):
         shape = (batch_size, self.num_classes)
         if (
             self._logits is not None
-            and not self.backend_changed
             and self._logits.shape == shape
             and self._logits.dtype == self.dtype
         ):

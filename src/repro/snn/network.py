@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends.numpy_backend import check_backend_name
 from repro.snn.encoding import InputEncoder
 from repro.snn.layers import OutputAccumulator, SpikingLayer
 from repro.snn.recording import SpikeRecord
@@ -51,11 +52,9 @@ class SimulationConfig(FrozenConfig):
         :mod:`repro.utils.dtypes`).  Float64 runs reproduce the original
         engine's outputs bit for bit.
     backend:
-        Compute backend running the kernel hot paths: a registered
-        :mod:`repro.backends` name (``"numpy"``, ``"numpy-blocked"``,
-        ``"torch"``, …) or ``None`` for the backend policy (the
-        ``repro --backend`` flag / ``REPRO_BACKEND`` environment variable /
-        the ``numpy`` reference backend).
+        ``None`` or ``"numpy"``, the only compute backend; anything else
+        raises :class:`ValueError`.  Kept so a serving config can be copied
+        into a simulation config field for field; the plan ignores it.
     early_exit_patience:
         Converged-image early exit: freeze an image once its output argmax
         has been stable for this many consecutive steps, dropping it from the
@@ -101,12 +100,7 @@ class SimulationConfig(FrozenConfig):
                     "must hold for a patience window to freeze an image)"
                 )
         resolve_dtype(self.dtype)  # fail fast on unsupported dtypes
-        if self.backend is not None:
-            from repro.backends import validate_backend_name
-
-            # fail fast on unknown backend names (with a did-you-mean hint);
-            # availability of optional dependencies is checked at plan time
-            validate_backend_name(self.backend)
+        check_backend_name(self.backend)
 
 
 @dataclass

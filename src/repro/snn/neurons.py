@@ -26,10 +26,9 @@ Precision follows the project dtype policy (:mod:`repro.utils.dtypes`):
 float32 by default, float64 opt-in, with float64 results bit-identical to the
 original non-in-place implementation.
 
-The elementwise update itself runs on the resolved
-:class:`~repro.backends.base.KernelBackend` (``ops.if_step`` — one fused
-integrate / compare / reset kernel); the numpy reference backend is the
-relocated original code, so the bit-identity guarantee is unchanged.
+The elementwise update itself is the numpy backend's ``ops.if_step`` (one
+fused integrate / compare / reset kernel), the relocated original code, so
+the bit-identity guarantee is unchanged.
 
 Threshold positivity is validated once per simulation (on the first step
 after ``reset``) for array thresholds, and on every step for scalar (0-d)
@@ -91,8 +90,10 @@ class IFNeuronState:
         Simulation precision; ``None`` resolves through the project dtype
         policy (float32 default, see :mod:`repro.utils.dtypes`).
     ops:
-        The :class:`~repro.backends.base.KernelBackend` running the update
-        kernel (name, instance, or ``None`` for the backend policy default).
+        The kernel object running the update: ``None`` for the shared
+        :class:`~repro.backends.numpy_backend.NumpyBackend`, or a stand-in
+        such as the counting
+        :class:`~repro.backends.instrument.InstrumentedBackend`.
     """
 
     def __init__(

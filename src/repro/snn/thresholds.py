@@ -47,10 +47,9 @@ class ThresholdDynamics:
     (before spike generation at step ``t``) and :meth:`update` (after spike
     generation, with the boolean spike array).
 
-    Stateful dynamics run their elementwise update kernels on the
-    :class:`~repro.backends.base.KernelBackend` handed to :meth:`reset` (the
-    owning layer forwards its resolved backend; ``None`` falls back to the
-    backend policy default).
+    Stateful dynamics run their elementwise update kernels on the numpy
+    backend's methods (``self.ops``); the owning layer forwards its own
+    ``ops`` to :meth:`reset`, so a counting stand-in sees these calls too.
     """
 
     #: short name used in configuration strings ("rate", "phase", "burst")
@@ -254,13 +253,10 @@ class BurstThreshold(ThresholdDynamics):
     def reset(
         self, shape: Tuple[int, ...], dtype: DTypeLike = None, backend=None
     ) -> None:
-        previous_ops = getattr(self, "ops", None)
         super().reset(shape, dtype, backend)
-        ops_unchanged = previous_ops is None or previous_ops is self.ops
         shape = tuple(shape)
         if (
             self._g is not None
-            and ops_unchanged
             and self._g.shape == shape
             and self._g.dtype == self._dtype
         ):

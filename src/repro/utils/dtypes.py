@@ -18,13 +18,9 @@ Resolution order for the effective simulation dtype:
 
 Everything outside the simulation engine (ANN training, weight normalisation,
 analysis) stays in float64; weights are kept in float64 master copies and cast
-once per simulation run, never per step.
-
-The compute-backend policy (:mod:`repro.backends.registry`) mirrors this
-resolution order — explicit config, process override, ``REPRO_BACKEND`` env
-var, project default — and the two compose: the float64 bit-identity
-guarantee above is the *numpy reference backend's* contract, while other
-backends are held to prediction-level agreement.
+once per simulation run, never per step.  The float64 bit-identity
+guarantee is carried by the one compute backend,
+:class:`~repro.backends.numpy_backend.NumpyBackend`.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ import pytest
 import repro.conversion.normalization as normalization
 import repro.experiments.workloads as workloads
 import repro.utils.threads as threads
-from repro.backends import backend_scope
 from repro.conversion.normalization import normalize_weights
 from repro.core.hybrid import HybridCodingScheme
 from repro.engine.build import build_network
@@ -89,7 +88,7 @@ def test_float64_golden_holds_with_two_blas_threads(monkeypatch):
     (an empty workload cache) while the caller's pool has 2 threads."""
     case = _mnist_golden_case()
     monkeypatch.setattr(workloads, "_WORKLOAD_CACHE", {})
-    with _caller_pool(2), backend_scope("numpy"), simulation_precision("float64"):
+    with _caller_pool(2), simulation_precision("float64"):
         workload = workloads.build_workload(
             dataset=case["dataset"],
             model=case["model"],
@@ -120,7 +119,7 @@ def test_float64_golden_through_a_direct_execute(monkeypatch):
     loop reads 1 thread, the MNIST golden logits come out bit for bit, and
     the caller's count is back afterwards."""
     case = _mnist_golden_case()
-    with _caller_pool(2) as getter, backend_scope("numpy"), simulation_precision("float64"):
+    with _caller_pool(2) as getter, simulation_precision("float64"):
         workload = workloads.build_workload(
             dataset=case["dataset"],
             model=case["model"],

@@ -203,49 +203,6 @@ class TestCliMain:
 
 
 class TestCliBackends:
-    def test_list_backends_flag(self, capsys):
-        assert main(["--list-backends"]) == 0
-        out = capsys.readouterr().out
-        assert "numpy (default)" in out
-        assert "numpy-blocked" in out
-        assert "torch" in out
-        assert "effective backend" in out
-
-    def test_unknown_backend_fails_helpfully(self, capsys):
-        assert main(["--backend", "nmpy", "info"]) == 2
-        err = capsys.readouterr().err
-        assert "did you mean 'numpy'" in err
-        assert "--list-backends" in err
-
-    def test_backend_flag_sets_process_default(self, capsys):
-        from repro.backends import default_backend_name, set_default_backend
-
-        try:
-            assert main(["--backend", "numpy-blocked", "info"]) == 0
-            assert default_backend_name() == "numpy-blocked"
-        finally:
-            set_default_backend(None)
-
-    def test_compare_on_blocked_backend(self, capsys):
-        from repro.backends import set_default_backend
-
-        try:
-            code = main(
-                [
-                    "--backend", "numpy-blocked",
-                    "compare",
-                    "--schemes", "real-burst",
-                    "--dataset", "mnist",
-                    "--model", "mlp",
-                    "--time-steps", "15",
-                    "--images", "4",
-                ]
-            )
-        finally:
-            set_default_backend(None)
-        assert code == 0
-        assert "real-burst" in capsys.readouterr().out
-
     def test_early_exit_margin_flag_parses(self):
         parser = build_parser()
         args = parser.parse_args(

@@ -122,23 +122,17 @@ class TestFloat32Float64Equivalence:
 @pytest.mark.skipif(not GOLDEN_PATH.exists(), reason="golden reference not recorded")
 class TestGoldenFloat64Reference:
     """The refactored engine reproduces the seed engine's float64 outputs
-    exactly (predictions, total spike counts and full-precision logits).
-
-    Bit-identity to the seed is the **numpy reference backend's** contract
-    (other backends are held to prediction-level agreement by
-    ``tests/test_backends.py``), so the runs pin ``backend="numpy"`` — the
-    guarantee must hold regardless of the process-wide backend default."""
+    exactly (predictions, total spike counts and full-precision logits)."""
 
     @pytest.fixture(scope="class")
     def golden(self):
         return json.loads(GOLDEN_PATH.read_text())
 
     def _run_case(self, case):
-        from repro.backends import backend_scope
         from repro.experiments.sweep import make_pipeline
         from repro.experiments.workloads import build_workload
 
-        with backend_scope("numpy"), simulation_precision("float64"):
+        with simulation_precision("float64"):
             workload = build_workload(
                 dataset=case["dataset"],
                 model=case["model"],

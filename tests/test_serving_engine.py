@@ -206,6 +206,13 @@ class TestEngineBehaviour:
         with pytest.raises(ValueError, match="calibration_x"):
             ServingEngine(trained_mlp)
 
+    def test_config_accepts_only_the_numpy_backend(self):
+        ServingConfig(backend="numpy")
+        ServingConfig(backend=None)
+        for name in ("torch", "blocked"):
+            with pytest.raises(ValueError, match="the only backend is 'numpy'"):
+                ServingConfig(backend=name)
+
     def test_classify_after_close_raises(self, trained_mlp, tiny_image_split):
         engine = ServingEngine(
             trained_mlp,

@@ -34,6 +34,13 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(sample_fraction=0.0)
 
+    def test_numpy_is_the_only_backend(self):
+        SimulationConfig(backend="numpy")
+        SimulationConfig(backend=None)
+        for name in ("torch", "blocked", "nmpy"):
+            with pytest.raises(ValueError, match="the only backend is 'numpy'"):
+                SimulationConfig(backend=name)
+
 
 class TestSpikingNetworkStructure:
     def test_requires_output_accumulator_last(self):
