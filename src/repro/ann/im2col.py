@@ -26,10 +26,11 @@ hundreds of times (once per simulation step):
 * :class:`DirectConvPlan` skips the column matrix entirely for stride-1
   convolutions.  It reads each kernel tap as one flat window of a
   zero-bordered copy of the input, and picks one of two kernels from the
-  input channel count alone: inputs of at most four channels gather every tap
-  window into one panel and run a single GEMM (per-tap GEMMs of rank 1–3
-  waste most of their time in BLAS overhead), and wider inputs run one
-  accumulating GEMM per tap over a channels-last halo buffer.  Both
+  geometry alone.  Inputs of at most four channels, and any input whose
+  panel fits in ``_PANEL_MAX_BYTES``, gather every tap window into one panel
+  and run a single GEMM (per-tap GEMMs of rank 1–3, or over a few small
+  images, waste most of their time in BLAS overhead); every other input runs
+  one accumulating GEMM per tap over a channels-last halo buffer.  Both
   reassociate the reduction, so the SNN engine uses the plan only on its
   tolerance-based float32 fast path — the float64 exact path stays on
   :class:`Im2colPlan`.
@@ -45,17 +46,44 @@ from scipy.linalg.blas import dgemm as _dgemm, sgemm as _sgemm
 #: BLAS GEMMs that can accumulate into their output (``beta=1``), by dtype
 _ACCUMULATING_GEMM = {np.dtype(np.float32): _sgemm, np.dtype(np.float64): _dgemm}
 
-#: Widest input, in channels, that :class:`DirectConvPlan` convolves
-#: with its single-GEMM panel kernel; wider inputs take the per-tap
-#: accumulating kernel.  Kernel times, accumulate vs panel (float32, 3×3
-#: kernel, padding 1, 16 images, one BLAS thread, median of 5 processes'
-#: best of 40, 2-CPU Xeon with OpenBLAS 0.3.31): 1→8 channels at 28×28 (the
-#: MNIST CNN's ``conv_0``) 1363 vs 135 µs; 3→8 at 32×32 (the VGG's
-#: ``conv_0``) 1684 vs 445 µs; 4→16 at 16×16 186 vs 156 µs; 8→16 at 14×14
-#: (MNIST ``conv_1``) 212 vs 222 µs.  The panel copies the input ``K·K``
-#: times, which outgrows the per-tap GEMM overhead it saves between 4 and 8
-#: channels.
+#: Widest input, in channels, that :class:`DirectConvPlan` always convolves
+#: with its single-GEMM panel kernel.  Kernel times, accumulate vs panel
+#: (float32, 3×3 kernel, padding 1, 16 images, one BLAS thread, median of 5
+#: processes' best of 40, 2-CPU Xeon with OpenBLAS 0.3.31): 1→8 channels at
+#: 28×28 (the MNIST CNN's ``conv_0``) 1363 vs 135 µs; 3→8 at 32×32 (the
+#: VGG's ``conv_0``) 1684 vs 445 µs; 4→16 at 16×16 186 vs 156 µs; 8→16 at
+#: 14×14 (MNIST ``conv_1``) 212 vs 222 µs.  The panel copies the input
+#: ``K·K`` times, which outgrows the per-tap GEMM overhead it saves between
+#: 4 and 8 channels at this batch.
 _PANEL_MAX_CHANNELS = 4
+
+#: Largest panel, ``K·K·C·batch_rows·itemsize`` bytes, that
+#: :class:`DirectConvPlan` also convolves with the panel kernel whatever the
+#: channel count: at small batches the per-tap GEMMs are overhead bound
+#: again.  Kernel times, accumulate vs panel (float32, 3×3 kernel, padding
+#: 1, one BLAS thread, best of 100, three processes, 2-CPU Xeon with
+#: OpenBLAS 0.3.31), as panel size: accumulate / panel ratio:
+#:
+#: * 8→16 at 14×14 (MNIST ``conv_1``), 1–8 images: 62 KiB 1.8–2.7;
+#:   206 KiB 1.6–1.7; 350 KiB 1.0–1.2; 494 KiB (7 images) 1.1; 566 KiB
+#:   0.7–1.1; 1142 KiB (16 images) 0.9;
+#: * 8→8 at 32×32 (VGG ``conv_1``): 305 KiB (1 image) 3.7–3.8, still 2.1
+#:   at 2581 KiB (8 images), 0.8 at 5182 KiB (16 images);
+#: * 8→16 at 16×16: 80 KiB 2.2; 354 KiB 1.1–1.3; 536 KiB 1.0–1.1;
+#:   718 KiB 0.9–1.0;
+#: * 16→16 at 16×16: 161 KiB 1.6–1.7; 343 KiB 1.0–1.6; 525 KiB 0.8–1.0;
+#:   708 KiB 0.9–1.1; 1437 KiB 0.7–0.8;
+#: * 16→32 at 8×8: 44 KiB 2.0–2.2; 213 KiB 1.1–1.3; 325 KiB 0.9–1.1;
+#:   438 KiB 0.7–1.0;
+#: * 32→32 at 8×8: 88 KiB 1.0–1.5; 200 KiB 0.9–1.1; 425 KiB 0.8–0.9;
+#:   875 KiB 0.6–0.8.
+#:
+#: The panel wins below about 200 KiB at every width, and up to about
+#: 500 KiB at 8–16 channels; 32-channel inputs lose up to 20% between 300
+#: and 512 KiB.  With this budget, MNIST ``conv_1`` runs the panel at 1–7
+#: images and the accumulate kernel from 8 up; every conv of both networks
+#: at 16 images keeps the accumulate kernel.
+_PANEL_MAX_BYTES = 512 << 10
 
 #: Bytes of columns :func:`col2im` folds per block of images.  Folding the
 #: seven VGG conv shapes' columns at batch 32 (float64, best of 5, three
@@ -277,17 +305,19 @@ class DirectConvPlan:
     ``window_rows = (out_h−1)·PW + out_w``); rows that fall in a halo margin
     or between images receive garbage and are never read.
 
-    The input channel count alone picks the kernel, so every float32 result
-    is a pure function of the geometry:
+    The geometry alone picks the kernel, so every float32 result is a pure
+    function of it:
 
-    * **panel** (at most ``_PANEL_MAX_CHANNELS`` = 4 channels): the input is
+    * **panel** (at most ``_PANEL_MAX_CHANNELS`` = 4 channels, or a
+      ``K·K·C·batch_rows`` panel of at most ``_PANEL_MAX_BYTES``): the input is
       copied into a channels-first ``(C, N, PH, PW)`` scratch; panel row
       ``(tap, c)`` is the slice of channel ``c``'s flat strip at the tap's
       offset, and one GEMM, ``panel.T @ taps.reshape(K·K·C, out_c)``, yields
       every output row.  Per-tap GEMMs over one to three channels are rank-1
       to rank-3 updates that BLAS runs far below peak; the one deep GEMM is
-      4–10× faster at those widths (measurements at the constant);
-    * **accumulate** (wider inputs): the input is copied into a channels-last
+      4–10× faster at those widths, and 1.1–3.8× faster for a few small
+      images of 8–16 channels (measurements at the constants);
+    * **accumulate** (every other input): the input is copied into a channels-last
       ``(N, PH, PW, C)`` halo buffer, so a tap window is a ``(rows, C)``
       matrix, and one ``gemm(beta=1)`` per tap accumulates into the output in
       place — one input transpose plus ``K·K`` reads of the cache-resident
@@ -336,7 +366,8 @@ class DirectConvPlan:
         self._zfull_view = self._zfull.reshape(
             n, self.padded_h, self.padded_w, self.out_channels
         )[:, : self.out_h, : self.out_w, :].transpose(0, 3, 1, 2)
-        self._use_panel = channels <= _PANEL_MAX_CHANNELS
+        panel_bytes = self.kernel * self.kernel * channels * self.batch_rows * self.dtype.itemsize
+        self._use_panel = channels <= _PANEL_MAX_CHANNELS or panel_bytes <= _PANEL_MAX_BYTES
         #: the accumulate kernel's flat halo (``None`` for panel plans)
         self._halo_flat: Optional[np.ndarray] = None
         if self._use_panel:

@@ -25,7 +25,6 @@ PRIMITIVE_NAMES = (
     "fill",
     "matmul",
     "add_inplace",
-    "scale",
     "take_flat",
     "count_nonzero",
     "im2col_plan",
@@ -34,10 +33,7 @@ PRIMITIVE_NAMES = (
     "mean_columns",
     "argmax_columns",
     "if_step",
-    "burst_grow",
-    "burst_cap",
-    "burst_commit_signals",
-    "burst_commit_bool",
+    "burst_if_step",
 )
 
 

@@ -3,9 +3,9 @@
 The engine's per-step work decomposes into a small set of kernel primitives:
 buffer allocation, GEMM, the max-pool winner gather, the empty-step nonzero
 count, im2col / direct-convolution plans, slab pooling, and the elementwise
-integrate-and-fire / burst-threshold updates.  :class:`NumpyBackend` holds
-them all; the layers (:mod:`repro.snn.layers`), neuron states
-(:mod:`repro.snn.neurons`) and threshold dynamics
+integrate-and-fire update (alone, or fused with the burst threshold's update).
+:class:`NumpyBackend` holds them all; the layers (:mod:`repro.snn.layers`),
+neuron states (:mod:`repro.snn.neurons`) and threshold dynamics
 (:mod:`repro.snn.thresholds`) decide *which* primitive runs when and call it
 through their ``ops`` attribute.
 """
@@ -18,6 +18,12 @@ import numpy as np
 
 from repro.ann.im2col import DirectConvPlan, Im2colPlan, avgpool2x2
 
+#: ``(consecutive, scratch, growing, max_burst_length)``: the per-neuron
+#: consecutive-spike counter, an int64 scratch and a bool scratch of the
+#: same shape, and the cap on burst growth (see
+#: :class:`~repro.snn.thresholds.BurstThreshold`)
+BurstCap = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
 
 class NumpyBackend:
     """The engine's kernels on plain numpy, shared process-wide.
@@ -26,11 +32,15 @@ class NumpyBackend:
     ---------
     * Every ``out=`` parameter is a preallocated buffer owned by the caller;
       the kernel writes the result there and returns it, so the engine stays
-      zero-allocation in the steady state.
+      zero-allocation in the steady state.  The neuron kernels update their
+      caller's arrays in place.
+    * One neuron-update call per spiking layer per step: :meth:`if_step`
+      for scalar thresholds, :meth:`burst_if_step` for the burst threshold.
     * Float64 results are bit-identical to the seed engine
-      (``benchmarks/perf/seed_reference.json``): the kernel bodies are the
-      seed's code relocated, not rewritten.  Float32 results keep the seed's
-      predictions.
+      (``benchmarks/perf/seed_reference.json``): the kernels compute the
+      seed's values in the seed's order, and where a body was rewritten
+      (the burst update's ``max`` form) every value is provably the same.
+      Float32 results keep the seed's predictions.
     * The object holds no per-run state (all state lives in caller buffers),
       so one instance serves every layer, session and thread.
 
@@ -59,9 +69,6 @@ class NumpyBackend:
     def add_inplace(self, target: np.ndarray, addend: np.ndarray) -> np.ndarray:
         target += addend
         return target
-
-    def scale(self, a: np.ndarray, scalar: float, out: np.ndarray) -> np.ndarray:
-        return np.multiply(a, scalar, out=out)
 
     def take_flat(
         self, a: np.ndarray, flat_indices: np.ndarray, out: np.ndarray
@@ -119,7 +126,7 @@ class NumpyBackend:
     def argmax_columns(self, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
         return np.argmax(cols, axis=1, out=out)
 
-    # -- integrate-and-fire neuron kernel ----------------------------------
+    # -- integrate-and-fire neuron kernels ---------------------------------
     def if_step(
         self,
         v_mem: np.ndarray,
@@ -139,10 +146,10 @@ class NumpyBackend:
         """
         v_mem += z
         np.greater_equal(v_mem, threshold, out=spikes)
-        # the same comparison as a 0.0/1.0 float array: float·float ufuncs are
-        # markedly faster than bool→float converting ones, and every value is
-        # exact, so th·signal ≡ th·spike bit for bit in both dtypes
-        np.greater_equal(v_mem, threshold, out=signals)
+        # the spikes as a 0.0/1.0 float array: float·float ufuncs are markedly
+        # faster than bool→float converting ones, and every value is exact, so
+        # th·signal ≡ th·spike bit for bit in both dtypes
+        np.copyto(signals, spikes)
         np.multiply(threshold, signals, out=amplitudes)
 
         if subtract_reset:
@@ -154,56 +161,76 @@ class NumpyBackend:
             np.maximum(v_mem, v_rest, out=v_mem)
         return int(np.count_nonzero(spikes))
 
-    # -- burst-threshold kernels -------------------------------------------
-    def burst_grow(
-        self, g: np.ndarray, grown: np.ndarray, beta: float, ceiling: Optional[float]
-    ) -> np.ndarray:
-        """``grown = g * beta``, clamped to ``ceiling`` when given (overflow
-        guard; ``None`` skips the provably-identity clamp pass)."""
-        np.multiply(g, beta, out=grown)
-        if ceiling is not None:
-            np.minimum(grown, ceiling, out=grown)
-        return grown
-
-    def burst_cap(
+    def burst_if_step(
         self,
-        grown: np.ndarray,
-        g: np.ndarray,
+        v_mem: np.ndarray,
+        z: np.ndarray,
+        threshold: np.ndarray,
         spikes: np.ndarray,
-        consecutive: np.ndarray,
-        cons_scratch: np.ndarray,
-        capped: np.ndarray,
-        max_burst_length: int,
-    ) -> None:
-        # stop growing once the burst reaches the cap
-        np.add(consecutive, 1, out=cons_scratch)
-        np.greater_equal(cons_scratch, max_burst_length, out=capped)
-        np.copyto(grown, g, where=capped)
-        np.multiply(cons_scratch, spikes, out=consecutive)
-
-    def burst_commit_signals(
-        self,
-        grown: np.ndarray,
-        spike_signals: np.ndarray,
-        silent_signal: np.ndarray,
+        signals: np.ndarray,
+        amplitudes: np.ndarray,
+        subtract_reset: bool,
+        v_rest: float,
+        allow_negative: bool,
         g: np.ndarray,
-    ) -> None:
-        # g ← spikes ? grown : 1, as three unmasked passes (masked copyto is
-        # far slower).  Exact for finite grown: x·1 = x, x·0 = 0, 0+1 = 1.
-        np.multiply(grown, spike_signals, out=grown)
-        np.subtract(1.0, spike_signals, out=silent_signal)
-        np.add(grown, silent_signal, out=g)
+        beta: float,
+        v_th: float,
+        ceiling: Optional[float],
+        g_uniform: bool,
+        cap: Optional[BurstCap] = None,
+    ) -> int:
+        """:meth:`if_step` against the per-neuron burst threshold
+        ``threshold = g·v_th``, followed in the same call by the burst update
+        of ``g`` and ``threshold`` (:func:`burst_update`, Eqs. 8–9).  Returns
+        the spike count."""
+        count = self.if_step(
+            v_mem, z, threshold, spikes, signals, amplitudes,
+            subtract_reset, v_rest, allow_negative,
+        )
+        burst_update(spikes, signals, count, threshold, g, beta, v_th, ceiling, g_uniform, cap)
+        return count
 
-    def burst_commit_bool(
-        self,
-        grown: np.ndarray,
-        spikes: np.ndarray,
-        silent: np.ndarray,
-        g: np.ndarray,
-    ) -> None:
-        np.logical_not(spikes, out=silent)
-        np.multiply(grown, spikes, out=grown)
-        np.add(grown, silent, out=g)
+
+def burst_update(
+    spikes: np.ndarray,
+    signals: np.ndarray,
+    spike_count: int,
+    threshold: np.ndarray,
+    g: np.ndarray,
+    beta: float,
+    v_th: float,
+    ceiling: Optional[float],
+    g_uniform: bool,
+    cap: Optional[BurstCap] = None,
+) -> None:
+    """The burst function's step (Eqs. 8–9), in place: ``g ← β·g`` where
+    the neuron spiked, ``g ← 1`` where it stayed silent, then
+    ``threshold ← g·v_th``.
+
+    ``signals`` is the exact 0.0/1.0 rendering of the boolean ``spikes``.
+    ``g ← max(min(g·β, ceiling)·s, 1)`` is the same value bit for bit as
+    ``spike ? g·β : 1``: ``g ≥ 1``, so a spiking neuron's ``g·β`` exceeds 1
+    and a silent one's product is 0.  ``ceiling`` clamps ``g·β`` to the
+    largest finite value (``None`` skips a pass that is provably the
+    identity).  A silent step over an all-ones ``g`` (``g_uniform``)
+    changes nothing and returns at once.  ``cap``, when given, stops the
+    growth of neurons whose burst has reached ``max_burst_length`` spikes.
+    """
+    if spike_count == 0 and g_uniform:
+        return
+    if cap is None:
+        np.multiply(g, beta, out=g)
+    else:
+        consecutive, scratch, growing, max_burst_length = cap
+        np.add(consecutive, 1, out=scratch)
+        np.less(scratch, max_burst_length, out=growing)
+        np.multiply(g, beta, out=g, where=growing)
+        np.multiply(scratch, spikes, out=consecutive)
+    if ceiling is not None:
+        np.minimum(g, ceiling, out=g)
+    np.multiply(g, signals, out=g)
+    np.maximum(g, 1.0, out=g)
+    np.multiply(g, v_th, out=threshold)
 
 
 #: the one kernel object every layer uses unless a stand-in is passed

@@ -222,23 +222,30 @@ class PoissonRateEncoder(InputEncoder):
         self._rng = as_rng(seed)
         self._spikes: Optional[np.ndarray] = None
         self._values: Optional[np.ndarray] = None
+        #: float64 buffer of the step's uniform draws
+        self._draws: Optional[np.ndarray] = None
 
     def reset(self, x: np.ndarray, dtype: DTypeLike = None) -> None:
         super().reset(x, dtype)
-        self._spikes = np.empty(self._x.shape, dtype=bool)
-        self._values = np.empty(self._x.shape, dtype=self.dtype)
+        self._allocate()
 
     def shrink_batch(self, keep: np.ndarray) -> None:
         super().shrink_batch(keep)
-        self._spikes = np.empty(self._x.shape, dtype=bool)
-        self._values = np.empty(self._x.shape, dtype=self.dtype)
+        self._allocate()
+
+    def _allocate(self) -> None:
+        shape = self._x.shape
+        self._spikes = np.empty(shape, dtype=bool)
+        self._values = np.empty(shape, dtype=self.dtype)
+        self._draws = np.empty(shape, dtype=np.float64)
 
     def step(self, t: int) -> EncodedStep:
         del t
         x = self.input
         if self._spikes is None or self._values is None:
             raise RuntimeError("encoder.reset(x) must be called before step()")
-        np.less(self._rng.uniform(size=x.shape), x, out=self._spikes)
+        # the same stream as rng.uniform(size=x.shape), drawn in place
+        np.less(self._rng.random(out=self._draws), x, out=self._spikes)
         np.multiply(self._spikes, self.v_th, out=self._values)
         return EncodedStep(values=self._values, spikes=self._spikes)
 
@@ -342,11 +349,7 @@ class BurstEncoder(InputEncoder):
     def step(self, t: int) -> EncodedStep:
         if self._state is None:
             raise RuntimeError("encoder.reset(x) must be called before step()")
-        thresholds = self.threshold.thresholds(t)
-        spikes, amplitudes = self._state.step(self.input, thresholds)
-        self.threshold.update(
-            spikes, self._state.spike_signals, spike_count=self._state.last_spike_count
-        )
+        spikes, amplitudes = self.threshold.fire(self._state, self.input, t)
         return EncodedStep(values=amplitudes, spikes=spikes)
 
 

@@ -34,6 +34,9 @@ allocation-free in the steady state:
 * whatever does not change within a run is settled at ``reset``, not per
   step: threshold positivity (by the threshold dynamics); the direct-conv
   kernel needs no settling, since the input geometry alone picks it;
+* each neuron layer's update is one kernel call per step, made by its
+  threshold dynamics' ``fire`` (burst coding fuses the IF update with the
+  burst function's update);
 * every synaptic and pooling layer dispatches each step through a per-layer
   :class:`~repro.utils.sparsity.SparsityDispatcher`: an all-zero incoming
   tensor short-circuits to a precomputed response (exact in every dtype),
@@ -291,11 +294,7 @@ class _SpikingNeuronLayer(SpikingLayer):
                 cache[phase] = z
         else:
             z = self._synaptic_input(incoming, incoming_nonzero)
-        thresholds = self.threshold.thresholds(t)
-        spikes, amplitudes = self.state.step(z, thresholds)
-        self.threshold.update(
-            spikes, self.state.spike_signals, spike_count=self.state.last_spike_count
-        )
+        spikes, amplitudes = self.threshold.fire(self.state, z, t)
         self.last_spikes = spikes
         self.output_nonzero = self.state.last_spike_count
         return amplitudes
@@ -408,9 +407,10 @@ class SpikingConv2D(_SpikingNeuronLayer):
       convolutions);
     * **direct** — a stride-1 :class:`~repro.ann.im2col.DirectConvPlan` that
       skips the column materialisation (float32).  Inputs of at most four
-      channels run one GEMM over a panel of every tap window (the per-tap
-      GEMMs would be rank 1–3 and BLAS-overhead bound), wider ones one
-      accumulating GEMM per kernel tap over a padded halo buffer.
+      channels, and batches small enough that the panel of every tap window
+      fits the plan's byte budget, run one GEMM over that panel (the per-tap
+      GEMMs would be BLAS-overhead bound); the rest run one accumulating GEMM
+      per kernel tap over a padded halo buffer.
 
     All buffers are built lazily per (batch, dtype) geometry and reused
     across steps.

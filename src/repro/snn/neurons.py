@@ -26,9 +26,11 @@ Precision follows the project dtype policy (:mod:`repro.utils.dtypes`):
 float32 by default, float64 opt-in, with float64 results bit-identical to the
 original non-in-place implementation.
 
-The elementwise update itself is the numpy backend's ``ops.if_step`` (one
-fused integrate / compare / reset kernel), the relocated original code, so
-the bit-identity guarantee is unchanged.
+The elementwise update itself is one backend call per step: ``ops.if_step``
+(one fused integrate / compare / reset kernel, the relocated original code)
+or, for a burst-coded layer, ``ops.burst_if_step``, the same update followed
+by the burst function's in the same call.  Both compute the original values,
+so the bit-identity guarantee is unchanged.
 
 Threshold positivity is validated once per simulation (on the first step
 after ``reset``) for array thresholds, and on every step for scalar (0-d)
@@ -150,7 +152,9 @@ class IFNeuronState:
         self._spike_signals = self.ops.zeros(self.shape, self.dtype)
         self._amplitudes = self.ops.zeros(self.shape, self.dtype)
 
-    def step(self, z: np.ndarray, threshold: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def step(
+        self, z: np.ndarray, threshold: np.ndarray, burst: Optional[tuple] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Advance the population by one time step (in place, allocation-free).
 
         Parameters
@@ -160,6 +164,12 @@ class IFNeuronState:
             broadcastable to the state shape.
         threshold:
             Firing threshold ``V_th(t)`` per neuron (broadcastable).
+        burst:
+            ``None`` for the plain update (``ops.if_step``).  Otherwise the
+            burst-threshold arguments of ``ops.burst_if_step``
+            (``g, beta, v_th, ceiling, g_uniform, cap``), which updates the
+            burst function and ``threshold`` in the same kernel call (see
+            :meth:`~repro.snn.thresholds.BurstThreshold.fire`).
 
         Returns
         -------
@@ -183,7 +193,7 @@ class IFNeuronState:
 
         spikes = self._spikes
         amplitudes = self._amplitudes
-        self.last_spike_count = self.ops.if_step(
+        args = (
             self.v_mem,
             z,
             threshold,
@@ -194,6 +204,10 @@ class IFNeuronState:
             self.v_rest,
             self.allow_negative_membrane,
         )
+        if burst is None:
+            self.last_spike_count = self.ops.if_step(*args)
+        else:
+            self.last_spike_count = self.ops.burst_if_step(*args, *burst)
         self.total_spikes += self.last_spike_count
         return spikes, amplitudes
 

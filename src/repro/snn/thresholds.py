@@ -18,14 +18,16 @@ many steps, which is the paper's central mechanism.
 
 Performance contract
 --------------------
-``thresholds(t)`` is called once per layer per simulation step, so it must
-not allocate: :class:`ConstantThreshold` caches its 0-d array,
-:class:`PhaseThreshold` caches one 0-d array per phase of the period, and
-:class:`BurstThreshold` writes ``g·v_th`` into a preallocated buffer (only
-valid until the next call — copy if you keep it).  ``reset`` accepts the
-simulation dtype from the owning layer (policy default float32, see
-:mod:`repro.utils.dtypes`); positivity of ``v_th`` is validated once at
-construction rather than per step.
+``fire(state, z, t)`` runs once per layer per simulation step and makes one
+kernel call, so it must not allocate.  :class:`ConstantThreshold` and
+:class:`PhaseThreshold` hand a cached 0-d threshold (one per phase of the
+period) to the scalar ``ops.if_step``.  :class:`BurstThreshold` makes one
+``ops.burst_if_step`` call, which fires the neurons against its ``g·v_th``
+buffer and then updates ``g`` and that buffer in place; ``thresholds(t)``
+returns the buffer (only valid until the next step — copy if you keep it).
+``reset`` accepts the simulation dtype from the owning layer (policy default
+float32, see :mod:`repro.utils.dtypes`); positivity of ``v_th`` is validated
+once at construction rather than per step.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.backends import resolve_backend
+from repro.backends.numpy_backend import burst_update
 from repro.utils.config import validate_positive
 from repro.utils.dtypes import DTypeLike, resolve_dtype
 
@@ -43,9 +46,9 @@ class ThresholdDynamics:
     """Interface for per-layer threshold evolution.
 
     Subclasses are attached to one spiking layer.  The network engine calls
-    :meth:`reset` once per simulation, then alternates :meth:`thresholds`
-    (before spike generation at step ``t``) and :meth:`update` (after spike
-    generation, with the boolean spike array).
+    :meth:`reset` once per simulation, then :meth:`fire` once per step.  By
+    default that reads :meth:`thresholds` (before spike generation at step
+    ``t``) and reports the spikes to :meth:`update` afterwards.
 
     Stateful dynamics run their elementwise update kernels on the numpy
     backend's methods (``self.ops``); the owning layer forwards its own
@@ -110,6 +113,19 @@ class ThresholdDynamics:
         letting per-neuron dynamics skip whole-array work on silent steps.
         """
         del spikes, spike_signals, spike_count
+
+    def fire(self, state, z: np.ndarray, t: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Run the neurons of ``state`` (an
+        :class:`~repro.snn.neurons.IFNeuronState`) for step ``t`` against
+        these thresholds and observe the result; returns ``state.step``'s
+        ``(spikes, amplitudes)``.
+
+        The default is :meth:`thresholds`, ``state.step`` and :meth:`update`
+        in turn; :class:`BurstThreshold` fuses all three into one kernel call.
+        """
+        spikes, amplitudes = state.step(z, self.thresholds(t))
+        self.update(spikes, state.spike_signals, state.last_spike_count)
+        return spikes, amplitudes
 
     def describe(self) -> str:
         """One-line description used in experiment logs."""
@@ -209,9 +225,10 @@ class BurstThreshold(ThresholdDynamics):
     resets to 1 (Eq. 8).  ``V_th(t) = g(t)·v_th`` (Eq. 9) and the effective
     synaptic weight during a burst is ``ŵ = w·g`` (Eq. 10).
 
-    All per-step state (``g``, the consecutive-spike counter, the threshold
-    and growth scratch buffers) is preallocated at ``reset`` and updated in
-    place; ``thresholds`` / ``update`` allocate nothing.
+    The per-step state (``g`` and the threshold buffer ``g·v_th``; with
+    ``max_burst_length``, the consecutive-spike counter and its scratch) is
+    allocated at ``reset`` and updated in place by :meth:`fire`, one
+    ``ops.burst_if_step`` call per step that allocates nothing.
 
     Parameters
     ----------
@@ -245,10 +262,10 @@ class BurstThreshold(ThresholdDynamics):
         self.beta = float(beta)
         self.max_burst_length = max_burst_length
         self._g: Optional[np.ndarray] = None
-        self._consecutive: Optional[np.ndarray] = None
         self._th_buf: Optional[np.ndarray] = None
-        self._grown: Optional[np.ndarray] = None
-        self._silent: Optional[np.ndarray] = None
+        #: the growth cap's buffers (:data:`~repro.backends.numpy_backend.BurstCap`),
+        #: allocated only when ``max_burst_length`` is set
+        self._cap = None
 
     def reset(
         self, shape: Tuple[int, ...], dtype: DTypeLike = None, backend=None
@@ -262,15 +279,12 @@ class BurstThreshold(ThresholdDynamics):
         ):
             # reuse the allocated buffers across simulation runs
             self._g.fill(1.0)
-            self._consecutive.fill(0)
         else:
             ops = self.ops
             self._g = ops.fill(ops.empty(shape, self._dtype), 1.0)
-            self._consecutive = ops.zeros(shape, np.dtype(np.int64))
             self._th_buf = ops.empty(shape, self._dtype)
-            self._grown = ops.empty(shape, self._dtype)
-            self._silent = ops.empty(shape, np.dtype(bool))
-            self._silent_signal = ops.empty(shape, self._dtype)
+        np.multiply(self._g, self.v_th, out=self._th_buf)
+        self._cap = self._build_cap(shape)
         self._ceiling = np.finfo(self._dtype).max
         # g is bounded by β^updates (it resets to 1 on any silent step), so
         # the overflow clamp is provably the identity until β^(updates+1)
@@ -278,13 +292,26 @@ class BurstThreshold(ThresholdDynamics):
         self._updates = 0
         self._clamp_after = max(0, int(np.log(self._ceiling) / np.log(self.beta)) - 2)
         # silent-step short-circuit: after a fully silent step g is all ones,
-        # and while the layer stays silent both update() and thresholds() are
-        # identities — key to cheap converged/sparse regimes
+        # and while the layer stays silent the burst update is the identity
+        # — key to cheap converged/sparse regimes
         self._g_uniform = True
-        self._th_valid = False
-        if self.max_burst_length is not None:
-            self._cons_scratch = self.ops.empty(shape, np.dtype(np.int64))
-            self._capped = self.ops.empty(shape, np.dtype(bool))
+
+    def _build_cap(
+        self, shape: Tuple[int, ...], consecutive: Optional[np.ndarray] = None
+    ):
+        """The cap's counter (zeroed unless given) and scratch buffers, or
+        ``None`` without a cap."""
+        if self.max_burst_length is None:
+            return None
+        ops = self.ops
+        if consecutive is None:
+            consecutive = ops.zeros(shape, np.dtype(np.int64))
+        return (
+            consecutive,
+            ops.empty(shape, np.dtype(np.int64)),
+            ops.empty(shape, np.dtype(bool)),
+            self.max_burst_length,
+        )
 
     def shrink_batch(self, keep: np.ndarray) -> None:
         super().shrink_batch(keep)
@@ -292,28 +319,16 @@ class BurstThreshold(ThresholdDynamics):
             return
         keep = np.asarray(keep, dtype=np.intp)
         self._g = np.ascontiguousarray(self._g[keep])
-        self._consecutive = np.ascontiguousarray(self._consecutive[keep])
-        shape = self._g.shape
-        ops = self.ops
-        self._th_buf = ops.empty(shape, self._dtype)
-        self._grown = ops.empty(shape, self._dtype)
-        self._silent = ops.empty(shape, np.dtype(bool))
-        self._silent_signal = ops.empty(shape, self._dtype)
-        self._th_valid = False
-        if self.max_burst_length is not None:
-            self._cons_scratch = ops.empty(shape, np.dtype(np.int64))
-            self._capped = ops.empty(shape, np.dtype(bool))
+        self._th_buf = np.ascontiguousarray(self._th_buf[keep])
+        if self._cap is not None:
+            self._cap = self._build_cap(
+                self._g.shape, np.ascontiguousarray(self._cap[0][keep])
+            )
 
     def thresholds(self, t: int) -> np.ndarray:
         del t
-        if self._g is None or self._th_buf is None:
+        if self._th_buf is None:
             raise RuntimeError("BurstThreshold.reset(shape) must be called before use")
-        if self._th_valid:
-            # g has not changed since the last call (silent regime): the
-            # buffer already holds g·v_th
-            return self._th_buf
-        self.ops.scale(self._g, self.v_th, self._th_buf)
-        self._th_valid = True
         return self._th_buf
 
     def positive_by_construction(self) -> bool:
@@ -321,52 +336,47 @@ class BurstThreshold(ThresholdDynamics):
         # rounding is monotonic, so g·v_th ≥ v_th in the simulation dtype
         return bool(np.asarray(self.v_th, dtype=self.dtype) > 0)
 
+    def _next_update_args(self) -> tuple:
+        """The burst-update arguments for the step about to run
+        (``g, beta, v_th, ceiling, g_uniform, cap``); counts that step."""
+        # Clamp to the largest finite value: an extreme burst can overflow
+        # g·β to inf, and the mask-free combine of the update would then
+        # produce inf·0 = NaN on the first silent step and poison g
+        # permanently.  A neuron at the ceiling behaves like one at inf (the
+        # threshold is unreachable, so it falls silent and resets to 1 next
+        # step).  While β^(updates+1) provably cannot reach the ceiling the
+        # clamp is the identity and the pass is skipped.
+        ceiling = self._ceiling if self._updates >= self._clamp_after else None
+        self._updates += 1
+        return (self._g, self.beta, self.v_th, ceiling, self._g_uniform, self._cap)
+
+    def fire(self, state, z: np.ndarray, t: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One ``ops.burst_if_step`` call: integrate, fire and reset
+        against ``g·v_th``, then update ``g`` and the thresholds in place."""
+        if self._th_buf is None:
+            raise RuntimeError("BurstThreshold.reset(shape) must be called before use")
+        result = state.step(z, self._th_buf, burst=self._next_update_args())
+        self._g_uniform = state.last_spike_count == 0
+        return result
+
     def update(
         self,
         spikes: np.ndarray,
         spike_signals: Optional[np.ndarray] = None,
         spike_count: Optional[int] = None,
     ) -> None:
-        if self._g is None or self._consecutive is None:
+        """The burst update on its own, for callers that run the neurons
+        themselves (the engine goes through :meth:`fire`); the same kernel
+        code as the fused step."""
+        if self._g is None:
             raise RuntimeError("BurstThreshold.reset(shape) must be called before use")
-        if spike_count == 0 and self._g_uniform and self.max_burst_length is None:
-            # a silent step over an already-reset burst function: g stays all
-            # ones, so the whole update is the identity
-            self._updates += 1
-            return
-        g = self._g
-        grown = self._grown
-        ops = self.ops
-        if spikes.dtype != np.bool_:
-            spikes = np.asarray(spikes, dtype=bool)
-
-        # Clamp to the largest finite value: an extreme burst can overflow
-        # g·β to inf, and the mask-free combine below would then produce
-        # inf·0 = NaN on the first silent step and poison g permanently.
-        # A neuron at the ceiling behaves like one at inf (the threshold is
-        # unreachable, so it falls silent and resets to 1 next step).  While
-        # β^(updates+1) provably cannot reach the ceiling the clamp is the
-        # identity and the pass is skipped.
-        ceiling = self._ceiling if self._updates >= self._clamp_after else None
-        ops.burst_grow(g, grown, self.beta, ceiling)
-        self._updates += 1
-        if self.max_burst_length is not None:
-            ops.burst_cap(
-                grown, g, spikes, self._consecutive,
-                self._cons_scratch, self._capped, self.max_burst_length,
-            )
-        # g ← spikes ? grown : 1 — preferring the exact 0.0/1.0 float
-        # rendering of the spikes when the producing state supplies it (the
-        # all-float kernel avoids slow bool→float casts, bit-identically).
-        if spike_signals is not None and spike_signals.dtype == self._dtype:
-            ops.burst_commit_signals(grown, spike_signals, self._silent_signal, g)
-        else:
-            ops.burst_commit_bool(grown, spikes, self._silent, g)
-        self._th_valid = False  # g changed; thresholds() must recompute
+        spikes = np.asarray(spikes, dtype=bool)
+        if spike_signals is None or spike_signals.dtype != self._dtype:
+            spike_signals = spikes.astype(self._dtype)
         if spike_count is None:
-            self._g_uniform = False  # unknown: assume g may have grown
-        else:
-            self._g_uniform = spike_count == 0
+            spike_count = int(np.count_nonzero(spikes))
+        burst_update(spikes, spike_signals, spike_count, self._th_buf, *self._next_update_args())
+        self._g_uniform = spike_count == 0
 
     @property
     def burst_function(self) -> np.ndarray:

@@ -90,13 +90,10 @@ def _neuron_layer(kind: str, coding: str, bias: bool = True):
     return layer, np.ones((2, 3, 6, 6))
 
 
-#: the threshold dynamics' own primitives on a spiking step: burst coding
-#: recomputes g·v_th, then grows and commits g; rate and phase call nothing
-THRESHOLD_CALLS = {
-    "rate": {},
-    "phase": {},
-    "burst": {"scale": 1, "burst_grow": 1, "burst_commit_signals": 1},
-}
+#: the neuron-update primitive per threshold dynamics: rate and phase run
+#: the scalar-threshold IF update; burst coding runs the IF update and the
+#: burst function's update of g and g·v_th in one fused call
+NEURON_CALL = {"rate": "if_step", "phase": "if_step", "burst": "burst_if_step"}
 
 
 class TestStepSeamContract:
@@ -123,10 +120,8 @@ class TestStepSeamContract:
         layer, x = _neuron_layer(kind, coding)
         counts = self._counted_step(layer, x, hint=x.size)
         assert layer.output_nonzero == layer.num_neurons * x.shape[0]
-        # GEMM, bias injection, the IF update, then the threshold dynamics
-        expected = {"matmul": 1, "add_inplace": 1, "if_step": 1}
-        expected.update(THRESHOLD_CALLS[coding])
-        assert counts == expected
+        # GEMM, bias injection, then one neuron update
+        assert counts == {"matmul": 1, "add_inplace": 1, NEURON_CALL[coding]: 1}
 
     @pytest.mark.parametrize("coding", ["rate", "phase", "burst"])
     @pytest.mark.parametrize("kind", ["dense", "conv"])
@@ -134,12 +129,13 @@ class TestStepSeamContract:
         layer, x = _neuron_layer(kind, coding, bias=False)
         counts = self._counted_step(layer, np.zeros_like(x), hint=0, warm_steps=0)
         assert layer.output_nonzero == 0
-        # the first burst step still computes g·v_th; a silent step over an
-        # all-ones g leaves the burst function untouched
-        expected = {"if_step": 1}
+        assert counts == {NEURON_CALL[coding]: 1}
         if coding == "burst":
-            expected["scale"] = 1
-        assert counts == expected
+            # a silent step over an all-ones g leaves the burst function and
+            # the thresholds at their reset values
+            assert np.all(layer.threshold.burst_function == 1.0)
+            after = layer.threshold.thresholds(1)
+            assert np.array_equal(after, np.full(after.shape, 0.125))
 
     @pytest.mark.parametrize("kind", ["dense", "conv"])
     def test_unhinted_step_scans_activity(self, kind):

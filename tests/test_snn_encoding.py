@@ -92,6 +92,25 @@ class TestPoissonRateEncoder:
         assert spikes[:, 0, 0].sum() == 0
         assert spikes[:, 0, 1].sum() == 50
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_draws_follow_the_seeded_uniform_stream(self, dtype):
+        """Spikes equal ``rng.uniform(size=...) < x`` from an identically
+        seeded generator, step after step and across a batch shrink."""
+        x = np.random.default_rng(7).random((6, 1, 5, 4))
+        encoder = PoissonRateEncoder(v_th=0.5, seed=11)
+        encoder.reset(x, dtype=dtype)
+        reference = np.random.default_rng(11)
+        x_sim = np.asarray(x, dtype=dtype)
+        for t in range(12):
+            if t == 5:
+                keep = np.array([0, 2, 5])
+                encoder.shrink_batch(keep)
+                x_sim = x_sim[keep]
+            step = encoder.step(t)
+            expected = reference.uniform(size=x_sim.shape) < x_sim
+            assert np.array_equal(step.spikes, expected)
+            assert np.array_equal(step.values, expected * np.asarray(0.5, dtype=dtype))
+
 
 class TestPhaseEncoder:
     def test_one_period_transmits_quantized_value(self):
