@@ -6,17 +6,23 @@ Two artefacts are (re)written next to this script:
 
 * ``seed_baseline.json`` — wall-clock timings of the end-to-end Table 2 VGG
   workload (the single ``phase-burst`` scheme run and the full five-method
-  CIFAR-10 block) at the default benchmark scale.  The committed copy was
-  recorded with the *seed* engine (PR 0 state) so later engines can prove
-  speedups against it; re-running this script on a faster engine simply
-  re-baselines the comparison.
+  CIFAR-10 block) at the default benchmark scale, with the run's accuracy
+  and total spike count.  The committed copy was recorded once with the
+  *seed* engine (revision ``92953cf``) on another machine.  No perf gate
+  reads its seconds: ``test_perf_engine.py`` times the seed engine in the
+  same session as the current one (see ``vgg_worker.py``) and uses this
+  file only for the scale and for the seed's accuracy and spike count,
+  which identify the seed engine.  Re-running this script rewrites those
+  identity numbers with whatever engine is on ``PYTHONPATH``.
 * ``seed_reference.json`` — float64 predictions, total spike counts and final
   logits of small deterministic workloads.  The committed copy captures the
   seed engine's float64 outputs; the refactored engine must reproduce them
   exactly (see ``tests/test_dtype_policy.py``).
 
 The script is deliberately self-contained (stdlib ``json``/``time`` only on
-top of the repro package) so it runs identically on the seed tree.
+top of the repro package, and only repro APIs the seed already has) so it
+runs identically on the seed tree; ``vgg_worker.py`` builds and times the
+VGG case with its functions for the same reason.
 """
 
 from __future__ import annotations
@@ -71,25 +77,44 @@ def machine_fingerprint() -> dict:
     }
 
 
-def record_baseline() -> dict:
-    from repro.core.hybrid import HybridCodingScheme
-    from repro.experiments.sweep import make_pipeline
-    from repro.experiments.table2 import run_table2
+def vgg_workload(samples_per_class: int):
+    """The Table 2 CIFAR-10 VGG workload (trains the DNN)."""
     from repro.experiments.workloads import cifar10_workload
+
+    return cifar10_workload(samples_per_class=samples_per_class, epochs=15, seed=0)
+
+
+def vgg_pipeline(workload, time_steps: int, num_images: int):
+    """The workload's inference pipeline, with its caches warmed."""
+    from repro.experiments.sweep import make_pipeline
+
+    pipeline = make_pipeline(workload, time_steps=time_steps, num_images=num_images, seed=0)
+    pipeline.dnn_accuracy  # warm the caches outside the timed region
+    pipeline.normalization
+    return pipeline
+
+
+def time_phase_burst(pipeline):
+    """Wall-clock seconds of one phase-burst scheme run, and the run."""
+    from repro.core.hybrid import HybridCodingScheme
+
+    scheme = HybridCodingScheme.from_notation("phase-burst", v_th=0.125)
+    t0 = time.perf_counter()
+    run = pipeline.run_scheme(scheme)
+    return time.perf_counter() - t0, run
+
+
+def record_baseline() -> dict:
+    from repro.experiments.table2 import run_table2
 
     num_images = min(16, BENCH_NUM_IMAGES)
 
     t0 = time.perf_counter()
-    workload = cifar10_workload(samples_per_class=BENCH_SAMPLES_PER_CLASS, epochs=15, seed=0)
+    workload = vgg_workload(BENCH_SAMPLES_PER_CLASS)
     workload_seconds = time.perf_counter() - t0
 
-    pipeline = make_pipeline(workload, time_steps=BENCH_TIME_STEPS, num_images=num_images, seed=0)
-    pipeline.dnn_accuracy  # warm the caches outside the timed region
-    pipeline.normalization
-    scheme = HybridCodingScheme.from_notation("phase-burst", v_th=0.125)
-    t0 = time.perf_counter()
-    run = pipeline.run_scheme(scheme)
-    scheme_seconds = time.perf_counter() - t0
+    pipeline = vgg_pipeline(workload, BENCH_TIME_STEPS, num_images)
+    scheme_seconds, run = time_phase_burst(pipeline)
 
     t0 = time.perf_counter()
     rows = run_table2(
